@@ -1,9 +1,10 @@
 """The measure algebra of a space: its quotient by null sets.
 
 Elements are represented by canonical representatives, i.e. sets of
-non-null atoms; projecting a measurable set just drops its null atoms.
-That makes equality of classes a set comparison and turns the quotient
-laws into testable homomorphism properties of :func:`project`.
+non-null atoms held as atom bitmasks; projecting a measurable set just
+drops its null atoms. That makes equality of classes an int comparison
+and turns the quotient laws into testable homomorphism properties of
+:func:`project`.
 
 The symmetric-difference distance `rho` lives on the ideal of elements
 with finite measure and embeds isometrically into L1 via indicator
@@ -17,13 +18,15 @@ from typing import Iterable, Mapping
 
 from .errors import ForeignElement, ForeignFunction, ForeignSet, NotInFinIdeal
 from .rationals import ExtRational
-from .spaces import FiniteMeasureSpace, MeasurableSet
+from .spaces import (
+    FiniteMeasureSpace, MeasurableSet, _ids, _mask, _submasks, _weighted_sum
+)
 
 
 class MeasureAlgebra:
     """Boolean algebra of measurable sets modulo null sets."""
 
-    __slots__ = ("space", "nonnull_atoms", "fin_atoms")
+    __slots__ = ("space", "nonnull_atoms", "fin_atoms", "_top", "_fin")
 
     nonnull_atoms: tuple[int, ...]
     fin_atoms: tuple[int, ...]
@@ -34,6 +37,8 @@ class MeasureAlgebra:
         self.fin_atoms = tuple(
             i for i in self.nonnull_atoms if not space.weights[i].is_infinite
         )
+        self._top = _mask(self.nonnull_atoms)
+        self._fin = _mask(self.fin_atoms)
 
     @property
     def size(self) -> int:
@@ -52,20 +57,13 @@ class MeasureAlgebra:
 
     def all_elements(self) -> list["AlgebraElement"]:
         """Every element, in canonical order (lexicographic on sorted ids)."""
-        out = [
-            AlgebraElement(self, subset)
-            for subset in _subsets(self.nonnull_atoms)
-        ]
-        out.sort(key=lambda e: e.sort_key)
-        return out
+        ordered = sorted(map(_ids, _submasks(self._top)))
+        return [AlgebraElement(self, ids) for ids in ordered]
 
     def fin_elements(self) -> list["AlgebraElement"]:
         """Elements of finite measure, in canonical order."""
-        out = [
-            AlgebraElement(self, subset) for subset in _subsets(self.fin_atoms)
-        ]
-        out.sort(key=lambda e: e.sort_key)
-        return out
+        ordered = sorted(map(_ids, _submasks(self._fin)))
+        return [AlgebraElement(self, ids) for ids in ordered]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MeasureAlgebra):
@@ -79,55 +77,52 @@ class MeasureAlgebra:
         return f"MeasureAlgebra({len(self.nonnull_atoms)} non-null atoms)"
 
 
-def _subsets(items: tuple[int, ...]):
-    n = len(items)
-    for mask in range(1 << n):
-        yield tuple(items[i] for i in range(n) if mask >> i & 1)
-
-
 class AlgebraElement:
-    """Canonical representative of a class: a set of non-null atoms."""
+    """Canonical representative of a class: bit i of `mask` is non-null atom i."""
 
-    __slots__ = ("algebra", "atom_ids")
+    __slots__ = ("algebra", "mask")
 
     def __init__(self, algebra: MeasureAlgebra, atom_ids: Iterable[int]):
-        ids = frozenset(atom_ids)
-        stray = ids - set(algebra.nonnull_atoms)
+        mask = _mask(atom_ids)
+        stray = mask & ~algebra._top
         if stray:
-            raise ValueError(f"atoms {sorted(stray)} are null or out of range")
+            raise ValueError(f"atoms {list(_ids(stray))} are null or out of range")
         self.algebra = algebra
-        self.atom_ids = ids
+        self.mask = mask
+
+    @property
+    def atom_ids(self) -> frozenset[int]:
+        return frozenset(_ids(self.mask))
 
     @property
     def sort_key(self) -> tuple[int, ...]:
-        return tuple(sorted(self.atom_ids))
+        return _ids(self.mask)
 
     @property
     def is_zero(self) -> bool:
-        return not self.atom_ids
+        return not self.mask
 
-    def _check_same_algebra(self, other: "AlgebraElement"):
+    def _with(self, mask: int) -> "AlgebraElement":
+        return AlgebraElement(self.algebra, _ids(mask))
+
+    def _check_same_algebra(self, other: "AlgebraElement") -> int:
         if not isinstance(other, AlgebraElement):
             raise TypeError("expected an AlgebraElement")
         if self.algebra != other.algebra:
             raise ForeignElement("elements belong to different algebras")
+        return other.mask
 
     def meet(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check_same_algebra(other)
-        return AlgebraElement(self.algebra, self.atom_ids & other.atom_ids)
+        return self._with(self.mask & self._check_same_algebra(other))
 
     def join(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check_same_algebra(other)
-        return AlgebraElement(self.algebra, self.atom_ids | other.atom_ids)
+        return self._with(self.mask | self._check_same_algebra(other))
 
     def symmdiff(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check_same_algebra(other)
-        return AlgebraElement(self.algebra, self.atom_ids ^ other.atom_ids)
+        return self._with(self.mask ^ self._check_same_algebra(other))
 
     def complement(self) -> "AlgebraElement":
-        return AlgebraElement(
-            self.algebra, frozenset(self.algebra.nonnull_atoms) - self.atom_ids
-        )
+        return self._with(self.mask ^ self.algebra._top)
 
     __and__ = meet
     __or__ = join
@@ -137,10 +132,10 @@ class AlgebraElement:
     def __eq__(self, other) -> bool:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        return self.algebra == other.algebra and self.atom_ids == other.atom_ids
+        return self.algebra == other.algebra and self.mask == other.mask
 
     def __hash__(self):
-        return hash((self.algebra, self.atom_ids))
+        return hash((self.algebra, self.mask))
 
     def __repr__(self) -> str:
         return f"AlgebraElement({list(self.sort_key)})"
@@ -153,14 +148,13 @@ class L1Function:
     __slots__ = ("space", "coefficients")
 
     def __init__(self, space: FiniteMeasureSpace, coefficients: Mapping[int, Fraction]):
-        keys = frozenset(coefficients)
-        expected = frozenset(space.nonnull_atom_ids)
-        if keys != expected:
+        expected = list(space.nonnull_atom_ids)
+        if sorted(coefficients) != expected:
             raise ValueError(
-                f"coefficients must cover exactly the non-null atoms {sorted(expected)}"
+                f"coefficients must cover exactly the non-null atoms {expected}"
             )
         self.space = space
-        self.coefficients = {i: Fraction(coefficients[i]) for i in sorted(keys)}
+        self.coefficients = {i: Fraction(coefficients[i]) for i in expected}
 
     def scale(self, factor) -> "L1Function":
         k = Fraction(factor)
@@ -185,17 +179,12 @@ def project(algebra: MeasureAlgebra, mset: MeasurableSet) -> AlgebraElement:
     """Class of a measurable set: its atoms with the null ones dropped."""
     if mset.space != algebra.space:
         raise ForeignSet("set belongs to a different space")
-    return AlgebraElement(
-        algebra, mset.atom_ids & frozenset(algebra.nonnull_atoms)
-    )
+    return AlgebraElement(algebra, _ids(mset.mask & algebra._top))
 
 
 def mu_bar(elem: AlgebraElement) -> ExtRational:
     """Quotient measure: the weight sum of the element's atoms."""
-    total = ExtRational(0)
-    for i in elem.sort_key:
-        total = total + elem.algebra.space.weights[i]
-    return total
+    return _weighted_sum(elem.algebra.space.weights, elem.mask)
 
 
 def elem_meet(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -244,10 +233,7 @@ def chi_embed(elem: AlgebraElement) -> L1Function:
     """Indicator function of the element, as an L1 class."""
     if not is_fin(elem):
         raise NotInFinIdeal("chi is defined only on elements of finite measure")
-    coeffs = {
-        i: Fraction(1 if i in elem.atom_ids else 0)
-        for i in elem.algebra.nonnull_atoms
-    }
+    coeffs = {i: Fraction(elem.mask >> i & 1) for i in elem.algebra.nonnull_atoms}
     return L1Function(elem.algebra.space, coeffs)
 
 

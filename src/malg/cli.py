@@ -21,7 +21,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from .errors import BudgetExceeded, MalgError
+from .errors import (
+    BudgetExceeded, InvalidDocument, MalgError, NotInverseNilPreserving, SpaceMismatch
+)
 from .formats import (
     dumps_canonical,
     element_to_obj,
@@ -75,21 +77,23 @@ class _Loader:
         self.digests: dict[str, str] = {}
 
     def read_obj(self, path: str):
-        data = Path(path).read_bytes()
+        try:
+            data = Path(path).read_bytes()
+        except ValueError as exc:  # a path no file can have, e.g. with a NUL
+            raise InvalidDocument(f"bad path {path!r}: {exc}") from None
         self.digests[path] = hashlib.sha256(data).hexdigest()
         try:
             return json.loads(data)
-        except json.JSONDecodeError as exc:
+        except UnicodeDecodeError as exc:
+            raise InvalidDocument(f"not UTF-8: {exc}") from None
+        except (ValueError, RecursionError) as exc:  # syntax, long number, deep nest
             raise MalgError(f"invalid JSON: {exc}") from exc
 
-    def load_map(self, path: str):
-        obj = self.read_obj(path)
+    def load_map(self, path: str, obj=None):
+        """Parse a map document; `obj` is the document if already read."""
+        obj = self.read_obj(path) if obj is None else obj
         base_dir = Path(path).parent
-
-        def resolver(ref: str):
-            return self.read_obj(str((base_dir / ref)))
-
-        return obj_to_map(obj, resolver)
+        return obj_to_map(obj, lambda ref: self.read_obj(str(base_dir / ref)))
 
 
 def _error_entry(path: Optional[str], exc: Exception) -> dict:
@@ -97,6 +101,25 @@ def _error_entry(path: Optional[str], exc: Exception) -> dict:
     if path is not None:
         entry["file"] = path
     return entry
+
+
+def _input_error(args, loader: _Loader, exc: Exception) -> RunReport:
+    # functor-check reads two maps, so its entry names no file
+    return RunReport(
+        command=args.command,
+        inputs=loader.digests,
+        results=_error_entry(getattr(args, "map", None), exc),
+        exit_code=2,
+    )
+
+
+def _text(value) -> str:
+    """A number as report text. A ratio of two in-bound weights can pass
+    the int-to-str digit limit; that is an input error, not a crash."""
+    try:
+        return str(value)
+    except ValueError:
+        raise InvalidDocument("a result is too long to print") from None
 
 
 def _space_entry(parsed) -> dict:
@@ -113,17 +136,14 @@ def _space_entry(parsed) -> dict:
     }
 
 
-def cmd_validate(args) -> RunReport:
-    loader = _Loader()
+def cmd_validate(args, loader: _Loader) -> RunReport:
     entries = []
     failed = False
     for path in args.paths:
         try:
             obj = loader.read_obj(path)
             if isinstance(obj, dict) and "fn" in obj:
-                phi, sm, tm = obj_to_map(
-                    obj, lambda ref, p=path: loader.read_obj(str(Path(p).parent / ref))
-                )
+                phi, sm, tm = loader.load_map(path, obj)
                 entries.append(
                     {"file": path, "kind": "map", "canonical": map_to_obj(phi, sm, tm)}
                 )
@@ -145,30 +165,21 @@ def _classification_obj(mc: MorphismClassification) -> dict:
     out = {
         "measurable": mc.measurable,
         "inp": mc.inverse_nil_preserving,
-        "compression": str(mc.compression),
+        "compression": _text(mc.compression),
         "degenerate": mc.compression.degenerate,
     }
     if mc.lipschitz_point is not None:
-        out["lipschitz"] = str(mc.lipschitz_point)
+        out["lipschitz"] = _text(mc.lipschitz_point)
         out["short"] = mc.short
         out["bounded_deformation"] = mc.bounded_deformation
         if mc.rescale_source_to_short is not None:
-            out["rescale_source_to_short"] = str(mc.rescale_source_to_short)
-            out["rescale_target_to_short"] = str(mc.rescale_target_to_short)
+            out["rescale_source_to_short"] = _text(mc.rescale_source_to_short)
+            out["rescale_target_to_short"] = _text(mc.rescale_target_to_short)
     return out
 
 
-def cmd_classify(args) -> RunReport:
-    loader = _Loader()
-    try:
-        phi, source_metric, target_metric = loader.load_map(args.map)
-    except (MalgError, OSError) as exc:
-        return RunReport(
-            command="classify",
-            inputs=loader.digests,
-            results=_error_entry(args.map, exc),
-            exit_code=2,
-        )
+def cmd_classify(args, loader: _Loader, loaded) -> RunReport:
+    phi, source_metric, target_metric = loaded
     mc = classify(phi, source_metric, target_metric)
     return RunReport(
         command="classify",
@@ -196,30 +207,20 @@ def _theorem_record(index: int, phi: MeasurableMap, budget: int) -> dict:
         }
     return {
         "index": index,
-        "compression": str(comp),
+        "compression": _text(comp),
         "degenerate": comp.degenerate,
-        "lipschitz_fast": str(fast),
-        "lipschitz_bruteforce": str(brute.result),
+        "lipschitz_fast": _text(fast),
+        "lipschitz_bruteforce": _text(brute.result),
         "agree": agree,
         "witness": witness,
     }
 
 
-def cmd_theorem_check(args) -> RunReport:
-    loader = _Loader()
+def cmd_theorem_check(args, loader: _Loader, *loaded) -> RunReport:
     budget = args.budget
     instances: list[tuple[int, MeasurableMap]] = []
-    if args.map is not None:
-        try:
-            phi, _, _ = loader.load_map(args.map)
-        except (MalgError, OSError) as exc:
-            return RunReport(
-                command="theorem-check",
-                inputs=loader.digests,
-                results=_error_entry(args.map, exc),
-                exit_code=2,
-            )
-        instances.append((0, phi))
+    if loaded:
+        instances.append((0, loaded[0][0]))
     else:
         for i in range(args.trials):
             instances.append((i, random_instance(args.seed, i)))
@@ -272,46 +273,29 @@ def cmd_theorem_check(args) -> RunReport:
     )
 
 
-def cmd_functor_check(args) -> RunReport:
-    loader = _Loader()
+def cmd_functor_check(args, loader: _Loader, f_loaded, g_loaded) -> RunReport:
+    f, g = f_loaded[0], g_loaded[0]
     try:
-        f, _, _ = loader.load_map(args.f)
-        g, _, _ = loader.load_map(args.g)
         report = contravariance_check(f, g)
-        submult = compression_submultiplicativity(f, g)
-    except (MalgError, OSError) as exc:
-        return RunReport(
-            command="functor-check",
-            inputs=loader.digests,
-            results=_error_entry(None, exc),
-            exit_code=2,
-        )
+    except (SpaceMismatch, NotInverseNilPreserving) as exc:  # a pair unfit for the laws
+        return _input_error(args, loader, exc)
+    submult = compression_submultiplicativity(f, g)
     violations = [
         {"law": v.law, "witness": v.witness} for v in report.violations
     ]
-    comp_f = compression(f)
-    comp_g = compression(g)
-    comp_gf = compression(compose(g, f))
+    compressions = {
+        "compression_f": _text(compression(f)),
+        "compression_g": _text(compression(g)),
+        "compression_gf": _text(compression(compose(g, f))),
+    }
     if not submult:
         violations.append(
-            {
-                "law": "compression-submultiplicativity",
-                "witness": {
-                    "compression_f": str(comp_f),
-                    "compression_g": str(comp_g),
-                    "compression_gf": str(comp_gf),
-                },
-            }
+            {"law": "compression-submultiplicativity", "witness": dict(compressions)}
         )
     return RunReport(
         command="functor-check",
         inputs=loader.digests,
-        results={
-            "compression_f": str(comp_f),
-            "compression_g": str(comp_g),
-            "compression_gf": str(comp_gf),
-            "submultiplicative": submult,
-        },
+        results={**compressions, "submultiplicative": submult},
         violations=violations,
         exit_code=1 if violations else 0,
     )
@@ -348,12 +332,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_validate = sub.add_parser("validate", help="parse and validate documents")
     p_validate.add_argument("paths", nargs="+")
     add_common(p_validate)
-    p_validate.set_defaults(handler=cmd_validate)
+    p_validate.set_defaults(handler=cmd_validate, map_args=())
 
     p_classify = sub.add_parser("classify", help="classify one map document")
     p_classify.add_argument("map")
     add_common(p_classify)
-    p_classify.set_defaults(handler=cmd_classify)
+    p_classify.set_defaults(handler=cmd_classify, map_args=("map",))
 
     p_theorem = sub.add_parser(
         "theorem-check",
@@ -364,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_theorem.add_argument("--seed", type=int, default=0)
     p_theorem.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     add_common(p_theorem)
-    p_theorem.set_defaults(handler=cmd_theorem_check)
+    p_theorem.set_defaults(handler=cmd_theorem_check, map_args=("map",))
 
     p_functor = sub.add_parser(
         "functor-check", help="contravariance and submultiplicativity for a pair"
@@ -372,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_functor.add_argument("f")
     p_functor.add_argument("g")
     add_common(p_functor)
-    p_functor.set_defaults(handler=cmd_functor_check)
+    p_functor.set_defaults(handler=cmd_functor_check, map_args=("f", "g"))
 
     return parser
 
@@ -381,7 +365,17 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "theorem-check" and args.map is None and args.trials <= 0:
         build_parser().error("theorem-check needs a map path or --trials N")
-    report = args.handler(args)
+    loader = _Loader()
+    paths = [getattr(args, name) for name in args.map_args]
+    try:
+        loaded = [loader.load_map(path) for path in paths if path is not None]
+    except (MalgError, OSError) as exc:  # the one path from a bad document to exit 2
+        report = _input_error(args, loader, exc)
+    else:
+        try:
+            report = args.handler(args, loader, *loaded)
+        except InvalidDocument as exc:  # only _text raises it after loading
+            report = _input_error(args, loader, exc)
     text = render(report, args.format)
     if args.output:
         Path(args.output).write_text(text)

@@ -16,7 +16,7 @@ from .algebra import AlgebraElement
 from .errors import ArityMismatch, InvalidDocument
 from .maps import CompressionResult, MeasurableMap, make_map
 from .metric import FiniteMetricMeasureSpace
-from .rationals import INF_TOKEN, ExtRational
+from .rationals import INF, ExtRational, parse_rational
 from .spaces import FiniteMeasureSpace, make_space
 
 
@@ -29,29 +29,25 @@ def fraction_to_str(value: Fraction) -> str:
     return str(Fraction(value))
 
 
-def parse_fraction(text, field: str) -> Fraction:
-    if not isinstance(text, str):
-        raise InvalidDocument(f"{field}: expected a rational string")
-    try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise InvalidDocument(f"{field}: not a rational: {text!r}") from None
-    return value
-
-
 def weight_to_str(w: ExtRational) -> str:
     return str(w)
 
 
-def parse_weight(text, field: str) -> ExtRational:
+def _read_rational(text, field: str, kind: str) -> Optional[Fraction]:
+    """A document's rational string; None stands for "inf"."""
     if not isinstance(text, str):
-        raise InvalidDocument(f"{field}: expected a weight string")
-    if text.strip() == INF_TOKEN:
-        return ExtRational.infinity()
-    value = parse_fraction(text, field)
-    if value < 0:
+        raise InvalidDocument(f"{field}: expected a {kind} string")
+    try:
+        return parse_rational(text)
+    except ValueError as exc:
+        raise InvalidDocument(f"{field}: {exc}") from None
+
+
+def _read_weight(text, field: str) -> ExtRational:
+    value = _read_rational(text, field, "weight")
+    if value is not None and value < 0:
         raise InvalidDocument(f"{field}: weight {text!r} is negative")
-    return ExtRational(value)
+    return INF if value is None else ExtRational(value)
 
 
 def space_to_obj(space: FiniteMeasureSpace) -> dict:
@@ -81,18 +77,24 @@ def _require_keys(obj: dict, keys: tuple[str, ...], kind: str):
             raise InvalidDocument(f"{kind} document is missing {key!r}")
 
 
+def _labels(value) -> bool:
+    return isinstance(value, list) and all(isinstance(p, str) for p in value)
+
+
 def obj_to_space(obj: dict) -> FiniteMeasureSpace:
     _require_keys(obj, ("points", "atoms", "weights"), "space")
     points = obj["points"]
     atoms = obj["atoms"]
     weights = obj["weights"]
-    if not isinstance(points, list) or not all(isinstance(p, str) for p in points):
+    if not _labels(points):
         raise InvalidDocument("points: must be a list of strings")
     if not isinstance(atoms, list) or not all(isinstance(b, list) for b in atoms):
         raise InvalidDocument("atoms: must be a list of lists")
+    if not all(map(_labels, atoms)):
+        raise InvalidDocument("atoms: blocks must be lists of strings")
     if not isinstance(weights, list):
         raise InvalidDocument("weights: must be a list")
-    parsed = [parse_weight(w, f"weights[{i}]") for i, w in enumerate(weights)]
+    parsed = [_read_weight(w, f"weights[{i}]") for i, w in enumerate(weights)]
     return make_space(points, atoms, parsed)
 
 
@@ -110,7 +112,9 @@ def obj_to_metric_space(obj: dict) -> FiniteMetricMeasureSpace:
     k = 0
     for i in range(n):
         for j in range(i + 1, n):
-            value = parse_fraction(flat[k], f"dist[{k}]")
+            value = _read_rational(flat[k], f"dist[{k}]", "rational")
+            if value is None:
+                raise InvalidDocument(f"dist[{k}]: not a rational: {flat[k]!r}")
             table[i][j] = value
             table[j][i] = value
             k += 1

@@ -32,7 +32,7 @@ from .errors import (
     UnknownPoint,
 )
 from .rationals import INF, ExtRational
-from .spaces import FiniteMeasureSpace
+from .spaces import FiniteMeasureSpace, _ids, _mask, _submasks
 
 
 class MeasurableMap:
@@ -178,23 +178,25 @@ def is_inverse_nil_preserving(phi: MeasurableMap) -> bool:
     return True
 
 
+def _pullback(phi: MeasurableMap, target_mask: int) -> int:
+    """Mask of the source atoms mapped into the target atoms of the mask."""
+    pre = 0
+    for b in _ids(target_mask):
+        pre |= _mask(phi.atom_preimages[b])
+    return pre
+
+
 def null_ideal_preserved(phi: MeasurableMap) -> bool:
     """Null-ideal formulation: the preimage of every null set is null.
 
     Enumerates all null target sets (exactly the unions of null atoms) and
     measures their preimages; agrees with is_inverse_nil_preserving.
     """
-    null_atoms = phi.target.null_atom_ids
-    k = len(null_atoms)
-    weights = phi.source.weights
-    for mask in range(1 << k):
-        pre: set[int] = set()
-        for i in range(k):
-            if mask >> i & 1:
-                pre.update(phi.atom_preimages[null_atoms[i]])
-        if any(not weights[a].is_zero for a in pre):
-            return False
-    return True
+    nonnull_src = _mask(phi.source.nonnull_atom_ids)
+    return not any(
+        _pullback(phi, n) & nonnull_src
+        for n in _submasks(_mask(phi.target.null_atom_ids))
+    )
 
 
 def check_well_definedness(phi: MeasurableMap) -> bool:
@@ -204,29 +206,15 @@ def check_well_definedness(phi: MeasurableMap) -> bool:
     atom subsets and N1, N2 over null-atom subsets; those are exactly the
     pairs of target sets whose symmetric difference is null.
     """
-    target = phi.target
-    nonnull = target.nonnull_atom_ids
-    nulls = target.null_atom_ids
-    pre = [frozenset(block) for block in phi.atom_preimages]
-    weights = phi.source.weights
-
-    null_pres = []
-    for mask in range(1 << len(nulls)):
-        acc: frozenset[int] = frozenset()
-        for i in range(len(nulls)):
-            if mask >> i & 1:
-                acc = acc | pre[nulls[i]]
-        null_pres.append(acc)
-
-    for smask in range(1 << len(nonnull)):
-        base: frozenset[int] = frozenset()
-        for i in range(len(nonnull)):
-            if smask >> i & 1:
-                base = base | pre[nonnull[i]]
+    nonnull_src = _mask(phi.source.nonnull_atom_ids)
+    null_pres = [
+        _pullback(phi, n) for n in _submasks(_mask(phi.target.null_atom_ids))
+    ]
+    for s in _submasks(_mask(phi.target.nonnull_atom_ids)):
+        base = _pullback(phi, s)
         for p1 in null_pres:
             for p2 in null_pres:
-                diff = (base | p1) ^ (base | p2)
-                if any(not weights[a].is_zero for a in diff):
+                if ((base | p1) ^ (base | p2)) & nonnull_src:
                     return False
     return True
 
@@ -248,7 +236,7 @@ class BooleanHom:
         codomain: MeasureAlgebra,
         atom_action: Mapping[int, AlgebraElement],
     ):
-        if set(atom_action) != set(domain.nonnull_atoms):
+        if sorted(atom_action) != list(domain.nonnull_atoms):
             raise ValueError("atom_action must cover exactly the domain atoms")
         for elem in atom_action.values():
             if elem.algebra != codomain:
@@ -260,10 +248,10 @@ class BooleanHom:
     def apply(self, elem: AlgebraElement) -> AlgebraElement:
         if elem.algebra != self.domain:
             raise ForeignElement("element is not in the hom's domain algebra")
-        ids: frozenset[int] = frozenset()
-        for b in elem.sort_key:
-            ids = ids | self.atom_action[b].atom_ids
-        return AlgebraElement(self.codomain, ids)
+        image = 0
+        for b in _ids(elem.mask):
+            image |= self.atom_action[b].mask
+        return AlgebraElement(self.codomain, _ids(image))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BooleanHom):
@@ -290,9 +278,8 @@ def induced_homomorphism(phi: MeasurableMap) -> BooleanHom:
         )
     domain = build_algebra(phi.target)
     codomain = build_algebra(phi.source)
-    nonnull_src = frozenset(codomain.nonnull_atoms)
     action = {
-        b: AlgebraElement(codomain, frozenset(phi.atom_preimages[b]) & nonnull_src)
+        b: AlgebraElement(codomain, _ids(_mask(phi.atom_preimages[b]) & codomain._top))
         for b in domain.nonnull_atoms
     }
     return BooleanHom(domain, codomain, action)
@@ -450,19 +437,13 @@ def lipschitz_bruteforce(phi: MeasurableMap, budget: int = 12) -> BruteForceRepo
     if not is_inverse_nil_preserving(phi):
         return BruteForceReport(UNBOUNDED, None, None)
     hom = induced_homomorphism(phi)
-    codomain = hom.codomain
 
+    # target elements are masks over positions in `fin`; their images are
+    # source atom masks
     fin = domain.fin_atoms
     nf = len(fin)
-    src_pos = {atom: i for i, atom in enumerate(codomain.nonnull_atoms)}
-    src_weights = [codomain.space.weights[a] for a in codomain.nonnull_atoms]
-
-    action_masks = []
-    for b in fin:
-        m = 0
-        for a in hom.atom_action[b].atom_ids:
-            m |= 1 << src_pos[a]
-        action_masks.append(m)
+    action_masks = [hom.atom_action[b].mask for b in fin]
+    src_weights = phi.source.weights
 
     # image under the hom, per finite-ideal mask
     images = [0] * (1 << nf)
@@ -470,13 +451,9 @@ def lipschitz_bruteforce(phi: MeasurableMap, budget: int = 12) -> BruteForceRepo
         low = (mask & -mask).bit_length() - 1
         images[mask] = images[mask & (mask - 1)] | action_masks[low]
 
-    infinite_src = 0
-    for i, w in enumerate(src_weights):
-        if w.is_infinite:
-            infinite_src |= 1 << i
-    for mask in range(1 << nf):
-        if images[mask] & infinite_src:
-            return BruteForceReport(UNBOUNDED, None, None)  # fin ideal broken
+    infinite_src = _mask(i for i, w in enumerate(src_weights) if w.is_infinite)
+    if images[-1] & infinite_src:
+        return BruteForceReport(UNBOUNDED, None, None)  # fin ideal broken
 
     # target-side masses over the finite ideal
     mu2 = [Fraction(0)] * (1 << nf)

@@ -34,7 +34,14 @@ from .maps import (
     induced_homomorphism,
     is_inverse_nil_preserving,
 )
+from .rationals import parse_rational
 from .spaces import FiniteMeasureSpace, make_space
+
+
+def _distance(value) -> Fraction:
+    if isinstance(value, float):
+        raise TypeError(f"distances must be exact rationals, not the float {value}")
+    return Fraction(parse_rational(value) if isinstance(value, str) else value)
 
 
 class FiniteMetricMeasureSpace:
@@ -46,7 +53,7 @@ class FiniteMetricMeasureSpace:
 
     def __init__(self, base: FiniteMeasureSpace, dist: Sequence[Sequence]):
         n = len(base.points)
-        rows = [tuple(Fraction(v) for v in row) for row in dist]
+        rows = [tuple(_distance(v) for v in row) for row in dist]
         if len(rows) != n or any(len(row) != n for row in rows):
             raise ArityMismatch(f"distance table must be {n}x{n}")
         for i in range(n):

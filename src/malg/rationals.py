@@ -8,7 +8,8 @@ and ratios that have no meaningful value raise instead of returning one.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
+from functools import total_ordering
+from typing import Optional, Union
 
 from .errors import IndeterminateRatio, ZeroDenominator
 
@@ -16,7 +17,33 @@ RationalLike = Union["ExtRational", Fraction, int, str]
 
 INF_TOKEN = "inf"
 
+# CPython's default int-to-str limit: every parsed value prints, though a
+# value derived from several (a ratio, a sum) may not
+MAX_DIGITS = 4300
+_TOO_BIG = 10**MAX_DIGITS
 
+
+def parse_rational(text: str) -> Optional[Fraction]:
+    """The one parser of rational strings: "p/q", decimals with an optional
+    exponent, or "inf" (returned as None). Raises ValueError on malformed
+    text and on a numerator or denominator of more than MAX_DIGITS digits;
+    length and exponent are checked first, so hostile strings cost little.
+    """
+    if text.strip() == INF_TOKEN:
+        return None
+    exponent = text.lower().partition("e")[2]
+    if len(text) > 2 * MAX_DIGITS + 16 or len(exponent.lstrip("+-0")) > 4:
+        raise ValueError(f"not a rational: {text!r}")
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"not a rational: {text!r}") from None
+    if max(abs(value.numerator), value.denominator) >= _TOO_BIG:
+        raise ValueError(f"numerator or denominator over {MAX_DIGITS} digits: {text!r}")
+    return value
+
+
+@total_ordering
 class ExtRational:
     """A non-negative rational kept in lowest terms, or +infinity.
 
@@ -36,14 +63,7 @@ class ExtRational:
         elif isinstance(value, ExtRational):
             frac = value._frac
         elif isinstance(value, str):
-            text = value.strip()
-            if text == INF_TOKEN:
-                frac = None
-            else:
-                try:
-                    frac = Fraction(text)
-                except (ValueError, ZeroDivisionError) as exc:
-                    raise ValueError(f"not a rational: {value!r}") from exc
+            frac = parse_rational(value)
         elif isinstance(value, (int, Fraction)):
             frac = Fraction(value)
         else:
@@ -141,24 +161,6 @@ class ExtRational:
         if rhs is None:
             return NotImplemented
         return self._key() < rhs._key()
-
-    def __le__(self, other) -> bool:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self._key() <= rhs._key()
-
-    def __gt__(self, other) -> bool:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self._key() > rhs._key()
-
-    def __ge__(self, other) -> bool:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self._key() >= rhs._key()
 
     def __hash__(self):
         if self._frac is None:

@@ -11,7 +11,7 @@ spaces serialize identically.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     ArityMismatch,
@@ -23,21 +23,51 @@ from .errors import (
     PartitionOverlap,
     UnknownPoint,
 )
-from .rationals import INF_TOKEN, ExtRational
+from .rationals import INF, ExtRational, parse_rational
 
 
 def _coerce_weight(raw, position: int) -> ExtRational:
     if isinstance(raw, ExtRational):
         return raw
-    if isinstance(raw, str):
-        if raw.strip() == INF_TOKEN:
-            return ExtRational.infinity()
-        frac = Fraction(raw)
-    else:
-        frac = Fraction(raw)
-    if frac < 0:
+    frac = parse_rational(raw) if isinstance(raw, str) else raw
+    if isinstance(frac, (int, Fraction)) and frac < 0:
         raise NegativeWeight(f"weights[{position}] = {frac} is negative")
-    return ExtRational(frac)
+    return INF if frac is None else ExtRational(frac)
+
+
+# Atom bitmasks: bit i of a mask stands for atom i. Sets and algebra
+# elements store one; the helpers below are shared by spaces, algebra and maps.
+
+
+def _mask(ids: Iterable[int]) -> int:
+    mask = 0
+    for i in ids:
+        mask |= 1 << i
+    return mask
+
+
+def _ids(mask: int) -> tuple[int, ...]:
+    """The set bits of `mask`, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def _submasks(mask: int) -> Iterator[int]:
+    """Every submask of `mask`, from `mask` itself down to 0."""
+    sub = mask
+    while True:
+        yield sub
+        if not sub:
+            return
+        sub = (sub - 1) & mask
+
+
+def _weighted_sum(weights: Sequence[ExtRational], mask: int) -> ExtRational:
+    return sum((weights[i] for i in _ids(mask)), ExtRational(0))
 
 
 class FiniteMeasureSpace:
@@ -146,49 +176,49 @@ class FiniteMeasureSpace:
 
 
 class MeasurableSet:
-    """A union of atoms of one space, identified by atom indices."""
+    """A union of atoms of one space: bit i of `mask` is atom i."""
 
-    __slots__ = ("space", "atom_ids")
+    __slots__ = ("space", "mask")
 
     def __init__(self, space: FiniteMeasureSpace, atom_ids: Iterable[int]):
-        ids = frozenset(atom_ids)
-        for i in ids:
-            if not 0 <= i < space.n_atoms:
-                raise ValueError(f"atom index {i} out of range")
+        mask = _mask(atom_ids)
+        if mask >> space.n_atoms:
+            raise ValueError(f"atom index {mask.bit_length() - 1} out of range")
         self.space = space
-        self.atom_ids = ids
+        self.mask = mask
+
+    @property
+    def atom_ids(self) -> frozenset[int]:
+        return frozenset(_ids(self.mask))
 
     @property
     def sorted_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(self.atom_ids))
+        return _ids(self.mask)
 
     def member_points(self) -> frozenset[str]:
-        return frozenset(
-            p for i in self.atom_ids for p in self.space.atoms[i]
-        )
+        return frozenset(p for i in _ids(self.mask) for p in self.space.atoms[i])
 
-    def _check_same_space(self, other: "MeasurableSet"):
+    def _with(self, mask: int) -> "MeasurableSet":
+        return MeasurableSet(self.space, _ids(mask))
+
+    def _check_same_space(self, other: "MeasurableSet") -> int:
         if not isinstance(other, MeasurableSet):
             raise TypeError("expected a MeasurableSet")
         if self.space != other.space:
             raise ForeignSet("sets belong to different spaces")
+        return other.mask
 
     def union(self, other: "MeasurableSet") -> "MeasurableSet":
-        self._check_same_space(other)
-        return MeasurableSet(self.space, self.atom_ids | other.atom_ids)
+        return self._with(self.mask | self._check_same_space(other))
 
     def intersection(self, other: "MeasurableSet") -> "MeasurableSet":
-        self._check_same_space(other)
-        return MeasurableSet(self.space, self.atom_ids & other.atom_ids)
+        return self._with(self.mask & self._check_same_space(other))
 
     def symmetric_difference(self, other: "MeasurableSet") -> "MeasurableSet":
-        self._check_same_space(other)
-        return MeasurableSet(self.space, self.atom_ids ^ other.atom_ids)
+        return self._with(self.mask ^ self._check_same_space(other))
 
     def complement(self) -> "MeasurableSet":
-        return MeasurableSet(
-            self.space, frozenset(range(self.space.n_atoms)) - self.atom_ids
-        )
+        return self._with(self.mask ^ ((1 << self.space.n_atoms) - 1))
 
     __or__ = union
     __and__ = intersection
@@ -198,10 +228,10 @@ class MeasurableSet:
     def __eq__(self, other) -> bool:
         if not isinstance(other, MeasurableSet):
             return NotImplemented
-        return self.space == other.space and self.atom_ids == other.atom_ids
+        return self.space == other.space and self.mask == other.mask
 
     def __hash__(self):
-        return hash((self.space, self.atom_ids))
+        return hash((self.space, self.mask))
 
     def __repr__(self) -> str:
         return f"MeasurableSet(atoms={list(self.sorted_ids)})"
@@ -210,7 +240,8 @@ class MeasurableSet:
 def make_space(points: Sequence[str], partition, weights) -> FiniteMeasureSpace:
     """Validate and build a space; atoms come out in canonical order.
 
-    Weights may be ints, Fractions, ExtRationals, or strings ("p/q", "inf").
+    Weights may be ints, Fractions, ExtRationals, or strings ("p/q", "inf");
+    a float raises TypeError.
 
     Raises DuplicatePoint, PartitionGap, PartitionOverlap, UnknownPoint,
     NegativeWeight, or ArityMismatch on malformed input.
@@ -226,20 +257,15 @@ def _require_member(space: FiniteMeasureSpace, mset: MeasurableSet):
 def measure(space: FiniteMeasureSpace, mset: MeasurableSet) -> ExtRational:
     """Sum of the weights of the set's atoms; the empty set measures 0."""
     _require_member(space, mset)
-    total = ExtRational(0)
-    for i in mset.sorted_ids:
-        total = total + space.weights[i]
-    return total
+    return _weighted_sum(space.weights, mset.mask)
 
 
 def is_measurable(space: FiniteMeasureSpace, point_set: Iterable[str]) -> bool:
     """True iff the point set is a union of atoms."""
     wanted = set(point_set)
-    hit: set[int] = set()
-    for p in wanted:
-        hit.add(space.atom_of(p))
-    covered = set(p for i in hit for p in space.atoms[i])
-    return covered == wanted
+    hit = _mask(space.atom_of(p) for p in wanted)
+    # every wanted point lies in a hit atom, so equal sizes mean equal sets
+    return sum(len(space.atoms[i]) for i in _ids(hit)) == len(wanted)
 
 
 def set_from_points(space: FiniteMeasureSpace, point_set: Iterable[str]) -> MeasurableSet:
@@ -247,7 +273,7 @@ def set_from_points(space: FiniteMeasureSpace, point_set: Iterable[str]) -> Meas
     wanted = set(point_set)
     if not is_measurable(space, wanted):
         raise NotMeasurable(f"point set {sorted(wanted)} splits an atom")
-    return MeasurableSet(space, {space.atom_of(p) for p in wanted})
+    return MeasurableSet(space, (space.atom_of(p) for p in wanted))
 
 
 def is_null(space: FiniteMeasureSpace, mset: MeasurableSet) -> bool:

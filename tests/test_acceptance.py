@@ -6,6 +6,7 @@ pass/fail line; run `pytest tests/test_acceptance.py -v -s` to see them.
 """
 
 from fractions import Fraction
+from hashlib import sha256
 from itertools import product
 from time import perf_counter
 
@@ -355,3 +356,12 @@ def test_criterion_9_cli_determinism(tmp_path):
     report_line(9, ok, f"byte-identical={identical}, {elapsed:.1f}s")
     assert identical
     assert elapsed < 5
+    # the reports of the initial import, pinned byte for byte
+    text = tmp_path / "run.txt"
+    assert main(argv + ["--format", "text", "--output", str(text)]) == 0
+    assert sha256(first.read_bytes()).hexdigest() == (
+        "399a7327e413eacb5bdb9f315ee50d234b06a1d1f4aca7ef7187da822c5588e1"
+    )
+    assert sha256(text.read_bytes()).hexdigest() == (
+        "60de6e687c3e88b8ef3aeb6c0e8e850390b0eecd1aa3141fc684ae70590c0193"
+    )

@@ -78,6 +78,18 @@ def test_element_operations(s1):
         elem_meet(a, build_algebra(make_space(["z"], [["z"]], [1])).zero)
 
 
+def test_masks_and_derived_views(s1):
+    # bit i of a mask is atom i; atom_ids and sort_key are views of it
+    alg = build_algebra(s1)
+    full = s1.full_set()
+    assert full.mask == 0b111 and full.atom_ids == frozenset({0, 1, 2})
+    top = project(alg, full)  # the null atom 2 drops out
+    assert top.mask == 0b011 and top.sort_key == (0, 1) and top == alg.top
+    assert (~top).mask == 0 and top.atom_ids == frozenset({0, 1})
+    with pytest.raises(ValueError):
+        alg.element((2,))
+
+
 def test_project_is_homomorphism_worked_example(s1):
     alg = build_algebra(s1)
     a_set = s1.atom_set([0, 2])

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from malg import make_map
+from malg import make_map, make_space
 from malg.cli import main
 from malg.formats import dumps_canonical, map_to_obj, space_to_obj
 
@@ -75,6 +75,58 @@ def test_validate_non_measurable_map(capsys, tmp_path):
     entry = report["results"]["files"][0]
     assert entry["error"] == "NotMeasurable"
     assert "r1" in entry["detail"]
+
+
+def _malformed_document(kind, phi) -> bytes:
+    if kind == "invalid-utf8":
+        return b'{"source": "\xff\xfe", "target": {}, "fn": {}}'
+    if kind == "deep-nesting":
+        return b"[" * 100_000 + b"]" * 100_000
+    obj = map_to_obj(phi)
+    if kind == "nested-atom":
+        obj["source"]["atoms"][0] = [["p1"]]
+    elif kind == "huge-weight":
+        obj["source"]["weights"][0] = "1e5000"
+    else:
+        obj["target"]["dist"] = ["1e5000"]
+    return json.dumps(obj).encode()
+
+
+@pytest.mark.parametrize("command", ["validate", "classify", "theorem-check"])
+@pytest.mark.parametrize(
+    "kind, error",
+    [
+        ("invalid-utf8", "InvalidDocument"),
+        ("nested-atom", "InvalidDocument"),
+        ("huge-weight", "InvalidDocument"),
+        ("huge-distance", "InvalidDocument"),
+        ("deep-nesting", "MalgError"),  # the error of any invalid JSON
+    ],
+)
+def test_malformed_document_exits_2(capsys, phi, tmp_path, kind, error, command):
+    path = tmp_path / "bad.json"
+    path.write_bytes(_malformed_document(kind, phi))
+    code, report = run_cli(capsys, [command, str(path)])
+    assert code == 2 and report["exit_code"] == 2
+    results = report["results"]
+    entry = results["files"][0] if command == "validate" else results
+    assert entry["error"] == error
+    assert entry["file"] == str(path)
+
+
+def test_result_too_long_to_print_exits_2(capsys, tmp_path):
+    # each weight is within the digit bound, but their ratio is 10**8598
+    big = make_space(["a"], [["a"]], ["1e4299"])
+    small = make_space(["b"], [["b"]], ["1e-4299"])
+    path = tmp_path / "ratio.json"
+    path.write_text(dumps_canonical(map_to_obj(make_map(big, small, {"a": "b"}))))
+    code, _ = run_cli(capsys, ["validate", str(path)])
+    assert code == 0
+    for command in ("classify", "theorem-check"):
+        code, report = run_cli(capsys, [command, str(path)])
+        assert code == 2
+        assert report["results"]["error"] == "InvalidDocument"
+        assert report["results"]["file"] == str(path)
 
 
 def test_validate_missing_file(capsys, tmp_path):

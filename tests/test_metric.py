@@ -54,6 +54,8 @@ def test_metric_axiom_validation():
             [1, 1, 1],
             [[0, 1, 5], [1, 0, 1], [5, 1, 0]],  # 5 > 1 + 1
         )
+    with pytest.raises(TypeError):
+        make_metric_space(["a", "b"], [1, 1], [[0, 0.5], [0.5, 0]])  # float
     with pytest.raises(ArityMismatch):
         FiniteMetricMeasureSpace(
             make_space(["a", "b"], [["a"], ["b"]], [1, 1]), [[0, 1]]

@@ -32,6 +32,15 @@ def test_negative_rejected():
         ExtRational(Fraction(-1, 2))
 
 
+def test_string_digit_bound():
+    # 4300 digits is CPython's default int-to-str limit: anything parsed prints
+    assert str(ExtRational("1e4299")) == "1" + "0" * 4299
+    assert ExtRational("1e-4299").denominator == 10**4299
+    for text in ["1e4300", "1e-4300", "1" * 4301, "1/" + "3" * 4301, "1e99999999"]:
+        with pytest.raises(ValueError):
+            ExtRational(text)
+
+
 def test_zero_denominator_at_construction():
     with pytest.raises(ZeroDenominator):
         ExtRational(1, 0)

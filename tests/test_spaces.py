@@ -69,6 +69,8 @@ def test_construction_errors():
         make_space(["p1"], [["p1"]], [Fraction(-1, 2)])
     with pytest.raises(UnknownPoint):
         make_space(["p1"], [["p1", "zz"]], [1])
+    with pytest.raises(TypeError):
+        make_space(["p1"], [["p1"]], [0.1])  # floats are never exact weights
 
 
 def test_empty_space_is_valid():
