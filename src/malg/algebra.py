@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import ForeignElement, ForeignFunction, ForeignSet, NotInFinIdeal
-from .rationals import ExtRational
+from .rationals import ExtRational, to_fraction
 from .spaces import (
     FiniteMeasureSpace, MeasurableSet, _ids, _mask, _submasks, _weighted_sum
 )
@@ -154,10 +154,10 @@ class L1Function:
                 f"coefficients must cover exactly the non-null atoms {expected}"
             )
         self.space = space
-        self.coefficients = {i: Fraction(coefficients[i]) for i in expected}
+        self.coefficients = {i: to_fraction(coefficients[i]) for i in expected}
 
     def scale(self, factor) -> "L1Function":
-        k = Fraction(factor)
+        k = to_fraction(factor)
         return L1Function(
             self.space, {i: k * c for i, c in self.coefficients.items()}
         )

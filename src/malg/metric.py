@@ -34,14 +34,8 @@ from .maps import (
     induced_homomorphism,
     is_inverse_nil_preserving,
 )
-from .rationals import parse_rational
+from .rationals import to_fraction
 from .spaces import FiniteMeasureSpace, make_space
-
-
-def _distance(value) -> Fraction:
-    if isinstance(value, float):
-        raise TypeError(f"distances must be exact rationals, not the float {value}")
-    return Fraction(parse_rational(value) if isinstance(value, str) else value)
 
 
 class FiniteMetricMeasureSpace:
@@ -53,7 +47,7 @@ class FiniteMetricMeasureSpace:
 
     def __init__(self, base: FiniteMeasureSpace, dist: Sequence[Sequence]):
         n = len(base.points)
-        rows = [tuple(_distance(v) for v in row) for row in dist]
+        rows = [tuple(map(to_fraction, row)) for row in dist]
         if len(rows) != n or any(len(row) != n for row in rows):
             raise ArityMismatch(f"distance table must be {n}x{n}")
         for i in range(n):
@@ -70,7 +64,9 @@ class FiniteMetricMeasureSpace:
                     )
         for i in range(n):
             for j in range(n):
-                for k in range(n):
+                # symmetry makes (k, j, i) fail exactly when (i, j, k) does,
+                # so k > i suffices and finds the same first failure
+                for k in range(i + 1, n):
                     if rows[i][k] > rows[i][j] + rows[j][k]:
                         raise MetricAxiomViolation(
                             "triangle inequality fails on "
@@ -110,7 +106,7 @@ def rescale_space(
     mm: FiniteMetricMeasureSpace, factor
 ) -> FiniteMetricMeasureSpace:
     """Multiply every distance by a positive factor; measure untouched."""
-    k = Fraction(factor)
+    k = to_fraction(factor)
     if k <= 0:
         raise NonPositiveFactor(f"rescaling factor must be positive, got {k}")
     scaled = tuple(tuple(k * v for v in row) for row in mm.dist)

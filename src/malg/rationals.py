@@ -43,6 +43,20 @@ def parse_rational(text: str) -> Optional[Fraction]:
     return value
 
 
+def to_fraction(value, finite: bool = True) -> Optional[Fraction]:
+    """The one coercion of numbers from callers: an int, a Fraction, or a
+    string through parse_rational; signs pass through. "inf" gives None if
+    `finite` is False, else ValueError; any other type raises TypeError."""
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value)
+    if not isinstance(value, str):
+        raise TypeError(f"expected an int, Fraction or str, not {value!r}")
+    frac = parse_rational(value)
+    if frac is None and finite:
+        raise ValueError(f"expected a finite rational, not {value!r}")
+    return frac
+
+
 @total_ordering
 class ExtRational:
     """A non-negative rational kept in lowest terms, or +infinity.
@@ -62,12 +76,8 @@ class ExtRational:
             frac = Fraction(value, denominator)
         elif isinstance(value, ExtRational):
             frac = value._frac
-        elif isinstance(value, str):
-            frac = parse_rational(value)
-        elif isinstance(value, (int, Fraction)):
-            frac = Fraction(value)
         else:
-            raise TypeError(f"cannot build ExtRational from {type(value).__name__}")
+            frac = to_fraction(value, finite=False)
         if frac is not None and frac < 0:
             raise ValueError(f"negative value not allowed: {frac}")
         self._frac = frac

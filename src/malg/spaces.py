@@ -10,7 +10,6 @@ spaces serialize identically.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -23,14 +22,14 @@ from .errors import (
     PartitionOverlap,
     UnknownPoint,
 )
-from .rationals import INF, ExtRational, parse_rational
+from .rationals import INF, ExtRational, to_fraction
 
 
 def _coerce_weight(raw, position: int) -> ExtRational:
     if isinstance(raw, ExtRational):
         return raw
-    frac = parse_rational(raw) if isinstance(raw, str) else raw
-    if isinstance(frac, (int, Fraction)) and frac < 0:
+    frac = to_fraction(raw, finite=False)
+    if frac is not None and frac < 0:
         raise NegativeWeight(f"weights[{position}] = {frac} is negative")
     return INF if frac is None else ExtRational(frac)
 

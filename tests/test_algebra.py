@@ -250,6 +250,14 @@ def test_l1_distance_foreign(s1, s2):
 def test_l1_function_validates_coefficient_keys(s1):
     with pytest.raises(ValueError):
         L1Function(s1, {0: Fraction(1)})  # missing atom 1, and 2 is null
+    f = L1Function(s1, {0: "-1/2", 1: 3})  # signs pass through
+    assert f.coefficients == {0: Fraction(-1, 2), 1: Fraction(3)}
+    with pytest.raises(TypeError):
+        L1Function(s1, {0: 0.5, 1: 1})
+    with pytest.raises(ValueError):
+        L1Function(s1, {0: "1e5000", 1: 1})
+    with pytest.raises(TypeError):
+        f.scale(0.5)
 
 
 def test_l1_infinite_weight_conventions():

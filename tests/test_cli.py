@@ -1,11 +1,14 @@
 """CLI: exit codes, report shapes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import malg
 from malg import make_map, make_space
 from malg.cli import main
 from malg.formats import dumps_canonical, map_to_obj, space_to_obj
@@ -280,10 +283,14 @@ def test_text_format(capsys, phi_file):
 
 
 def test_module_entry_point(phi_file):
+    # the child imports the malg under test, installed or not
+    src = str(Path(malg.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "malg", "classify", phi_file],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["results"]["classification"]["compression"] == "5/6"

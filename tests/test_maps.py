@@ -153,6 +153,9 @@ def test_apply_hom(phi):
 def test_compression_worked_example(phi):
     assert compression(phi) == CompressionResult.bounded(Fraction(5, 6))
     assert compression(phi) == oracle_compression(phi)
+    assert CompressionResult.bounded("5/6") == compression(phi)
+    with pytest.raises(TypeError):
+        CompressionResult.bounded(5 / 6)
 
 
 def test_compression_constant_maps(s3_to_q1, s3):
@@ -320,11 +323,49 @@ def test_check_hom_laws_catch_duplicated_image(phi):
     )
     report = check_hom_laws(corrupted)
     assert not report.ok
-    laws = {v.law for v in report.violations}
-    assert "preserves-complement" in laws
-    assert "preserves-meet" in laws
-    witness = next(v for v in report.violations if v.law == "preserves-complement")
-    assert "a" in witness.witness
+    assert [(v.law, v.witness) for v in report.violations] == [
+        (
+            "preserves-meet",
+            {"a": [0], "b": [1], "image_of_combined": [], "combined_images": [0, 1]},
+        ),
+        (
+            "preserves-complement",
+            {"a": [0], "image_of_complement": [0, 1], "complement_of_image": []},
+        ),
+    ]
+
+
+class _WrongOnPair(BooleanHom):
+    """Correct atom actions, but apply maps the element {0, 1} to the image
+    of {0} alone; counts its own apply calls."""
+
+    def apply(self, elem):
+        self.calls = getattr(self, "calls", 0) + 1
+        if elem.sort_key == (0, 1):
+            elem = self.domain.element((0,))
+        return super().apply(elem)
+
+
+def test_check_hom_laws_apply_once_per_element():
+    space = make_space(["a", "b", "c"], [["a"], ["b"], ["c"]], [1, 2, 3])
+    hom = induced_homomorphism(identity_map(space))
+    faulty = _WrongOnPair(hom.domain, hom.codomain, hom.atom_action)
+    report = check_hom_laws(faulty)
+    assert faulty.calls == 2**3
+    assert [(v.law, v.witness) for v in report.violations] == [
+        (
+            "preserves-join",
+            {"a": [0], "b": [1], "image_of_combined": [0], "combined_images": [0, 1]},
+        ),
+        (
+            "preserves-meet",
+            {"a": [0, 1], "b": [1], "image_of_combined": [1], "combined_images": []},
+        ),
+        (
+            "preserves-complement",
+            {"a": [0, 1], "image_of_complement": [2], "complement_of_image": [1, 2]},
+        ),
+    ]
 
 
 def test_swapped_images_still_lawful(s2):

@@ -54,8 +54,18 @@ def test_metric_axiom_validation():
             [1, 1, 1],
             [[0, 1, 5], [1, 0, 1], [5, 1, 0]],  # 5 > 1 + 1
         )
+    # several triples fail; the message names the first in (i, j, k) order
+    first = r"^triangle inequality fails on \(a, c, b\)$"
+    with pytest.raises(MetricAxiomViolation, match=first):
+        make_metric_space(
+            ["a", "b", "c", "d"],
+            [1, 1, 1, 1],
+            [[0, 5, 1, 1], [5, 0, 1, 1], [1, 1, 0, 9], [1, 1, 9, 0]],
+        )
     with pytest.raises(TypeError):
         make_metric_space(["a", "b"], [1, 1], [[0, 0.5], [0.5, 0]])  # float
+    with pytest.raises(ValueError):
+        make_metric_space(["a", "b"], [1, 1], [[0, "inf"], ["inf", 0]])
     with pytest.raises(ArityMismatch):
         FiniteMetricMeasureSpace(
             make_space(["a", "b"], [["a"], ["b"]], [1, 1]), [[0, 1]]
@@ -146,6 +156,11 @@ def test_rescale_space():
         rescale_space(mm, 0)
     with pytest.raises(NonPositiveFactor):
         rescale_space(mm, Fraction(-1, 2))
+    assert rescale_space(mm, "1/2").distance("a", "c") == Fraction(1)
+    with pytest.raises(TypeError):
+        rescale_space(mm, 0.1)  # would be 3602879701896397/36028797018963968
+    with pytest.raises(ValueError):
+        rescale_space(mm, "1e5000")  # over the digit bound
 
 
 def test_rescaling_scales_lipschitz_exactly(s2_metric, s3_metric):
