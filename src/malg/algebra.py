@@ -45,25 +45,25 @@ class MeasureAlgebra:
         return 1 << len(self.nonnull_atoms)
 
     def element(self, atom_ids: Iterable[int]) -> "AlgebraElement":
-        return AlgebraElement(self, atom_ids)
+        return AlgebraElement(self, _mask(atom_ids))
 
     @property
     def zero(self) -> "AlgebraElement":
-        return AlgebraElement(self, ())
+        return AlgebraElement(self, 0)
 
     @property
     def top(self) -> "AlgebraElement":
-        return AlgebraElement(self, self.nonnull_atoms)
+        return AlgebraElement(self, self._top)
 
     def all_elements(self) -> list["AlgebraElement"]:
         """Every element, in canonical order (lexicographic on sorted ids)."""
-        ordered = sorted(map(_ids, _submasks(self._top)))
-        return [AlgebraElement(self, ids) for ids in ordered]
+        ordered = sorted(_submasks(self._top), key=_ids)
+        return [AlgebraElement(self, mask) for mask in ordered]
 
     def fin_elements(self) -> list["AlgebraElement"]:
         """Elements of finite measure, in canonical order."""
-        ordered = sorted(map(_ids, _submasks(self._fin)))
-        return [AlgebraElement(self, ids) for ids in ordered]
+        ordered = sorted(_submasks(self._fin), key=_ids)
+        return [AlgebraElement(self, mask) for mask in ordered]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MeasureAlgebra):
@@ -82,11 +82,10 @@ class AlgebraElement:
 
     __slots__ = ("algebra", "mask")
 
-    def __init__(self, algebra: MeasureAlgebra, atom_ids: Iterable[int]):
-        mask = _mask(atom_ids)
-        stray = mask & ~algebra._top
-        if stray:
-            raise ValueError(f"atoms {list(_ids(stray))} are null or out of range")
+    def __init__(self, algebra: MeasureAlgebra, mask: int):
+        # a negative mask has infinitely many bits: _ids would never stop on it
+        if mask < 0 or mask & ~algebra._top:
+            raise ValueError(f"atom mask {mask:#b} has null or out-of-range atoms")
         self.algebra = algebra
         self.mask = mask
 
@@ -102,9 +101,6 @@ class AlgebraElement:
     def is_zero(self) -> bool:
         return not self.mask
 
-    def _with(self, mask: int) -> "AlgebraElement":
-        return AlgebraElement(self.algebra, _ids(mask))
-
     def _check_same_algebra(self, other: "AlgebraElement") -> int:
         if not isinstance(other, AlgebraElement):
             raise TypeError("expected an AlgebraElement")
@@ -113,16 +109,16 @@ class AlgebraElement:
         return other.mask
 
     def meet(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self._with(self.mask & self._check_same_algebra(other))
+        return AlgebraElement(self.algebra, self.mask & self._check_same_algebra(other))
 
     def join(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self._with(self.mask | self._check_same_algebra(other))
+        return AlgebraElement(self.algebra, self.mask | self._check_same_algebra(other))
 
     def symmdiff(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self._with(self.mask ^ self._check_same_algebra(other))
+        return AlgebraElement(self.algebra, self.mask ^ self._check_same_algebra(other))
 
     def complement(self) -> "AlgebraElement":
-        return self._with(self.mask ^ self.algebra._top)
+        return AlgebraElement(self.algebra, self.mask ^ self.algebra._top)
 
     __and__ = meet
     __or__ = join
@@ -179,7 +175,7 @@ def project(algebra: MeasureAlgebra, mset: MeasurableSet) -> AlgebraElement:
     """Class of a measurable set: its atoms with the null ones dropped."""
     if mset.space != algebra.space:
         raise ForeignSet("set belongs to a different space")
-    return AlgebraElement(algebra, _ids(mset.mask & algebra._top))
+    return AlgebraElement(algebra, mset.mask & algebra._top)
 
 
 def mu_bar(elem: AlgebraElement) -> ExtRational:

@@ -362,9 +362,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.command == "theorem-check" and args.map is None and args.trials <= 0:
-        build_parser().error("theorem-check needs a map path or --trials N")
+        parser.error("theorem-check needs a map path or --trials N")
     loader = _Loader()
     paths = [getattr(args, name) for name in args.map_args]
     try:

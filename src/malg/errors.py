@@ -77,5 +77,9 @@ class MetricAxiomViolation(MalgError):
     """Distance table fails a metric axiom."""
 
 
+class InvalidRational(MalgError, ValueError):
+    """Not a rational within the digit bound, or "inf" where one is needed."""
+
+
 class InvalidDocument(MalgError):
     """A JSON document does not match the expected schema."""

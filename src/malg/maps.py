@@ -253,7 +253,7 @@ class BooleanHom:
         image = 0
         for b in _ids(elem.mask):
             image |= self.atom_action[b].mask
-        return AlgebraElement(self.codomain, _ids(image))
+        return AlgebraElement(self.codomain, image)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BooleanHom):
@@ -281,7 +281,7 @@ def induced_homomorphism(phi: MeasurableMap) -> BooleanHom:
     domain = build_algebra(phi.target)
     codomain = build_algebra(phi.source)
     action = {
-        b: AlgebraElement(codomain, _ids(_mask(phi.atom_preimages[b]) & codomain._top))
+        b: AlgebraElement(codomain, _mask(phi.atom_preimages[b]) & codomain._top)
         for b in domain.nonnull_atoms
     }
     return BooleanHom(domain, codomain, action)

@@ -11,7 +11,7 @@ from fractions import Fraction
 from functools import total_ordering
 from typing import Optional, Union
 
-from .errors import IndeterminateRatio, ZeroDenominator
+from .errors import IndeterminateRatio, InvalidRational, ZeroDenominator
 
 RationalLike = Union["ExtRational", Fraction, int, str]
 
@@ -25,7 +25,7 @@ _TOO_BIG = 10**MAX_DIGITS
 
 def parse_rational(text: str) -> Optional[Fraction]:
     """The one parser of rational strings: "p/q", decimals with an optional
-    exponent, or "inf" (returned as None). Raises ValueError on malformed
+    exponent, or "inf" (returned as None). Raises InvalidRational on malformed
     text and on a numerator or denominator of more than MAX_DIGITS digits;
     length and exponent are checked first, so hostile strings cost little.
     """
@@ -33,27 +33,29 @@ def parse_rational(text: str) -> Optional[Fraction]:
         return None
     exponent = text.lower().partition("e")[2]
     if len(text) > 2 * MAX_DIGITS + 16 or len(exponent.lstrip("+-0")) > 4:
-        raise ValueError(f"not a rational: {text!r}")
+        raise InvalidRational(f"not a rational: {text!r}")
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"not a rational: {text!r}") from None
+        raise InvalidRational(f"not a rational: {text!r}") from None
     if max(abs(value.numerator), value.denominator) >= _TOO_BIG:
-        raise ValueError(f"numerator or denominator over {MAX_DIGITS} digits: {text!r}")
+        raise InvalidRational(
+            f"numerator or denominator over {MAX_DIGITS} digits: {text!r}"
+        )
     return value
 
 
 def to_fraction(value, finite: bool = True) -> Optional[Fraction]:
     """The one coercion of numbers from callers: an int, a Fraction, or a
     string through parse_rational; signs pass through. "inf" gives None if
-    `finite` is False, else ValueError; any other type raises TypeError."""
+    `finite` is False, else InvalidRational; any other type raises TypeError."""
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if not isinstance(value, str):
         raise TypeError(f"expected an int, Fraction or str, not {value!r}")
     frac = parse_rational(value)
     if frac is None and finite:
-        raise ValueError(f"expected a finite rational, not {value!r}")
+        raise InvalidRational(f"expected a finite rational, not {value!r}")
     return frac
 
 

@@ -148,13 +148,13 @@ class FiniteMeasureSpace:
         return tuple(i for i, w in enumerate(self.weights) if not w.is_zero)
 
     def empty_set(self) -> "MeasurableSet":
-        return MeasurableSet(self, ())
+        return MeasurableSet(self, 0)
 
     def full_set(self) -> "MeasurableSet":
-        return MeasurableSet(self, range(self.n_atoms))
+        return MeasurableSet(self, (1 << self.n_atoms) - 1)
 
     def atom_set(self, atom_ids: Iterable[int]) -> "MeasurableSet":
-        return MeasurableSet(self, atom_ids)
+        return MeasurableSet(self, _mask(atom_ids))
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -179,10 +179,9 @@ class MeasurableSet:
 
     __slots__ = ("space", "mask")
 
-    def __init__(self, space: FiniteMeasureSpace, atom_ids: Iterable[int]):
-        mask = _mask(atom_ids)
-        if mask >> space.n_atoms:
-            raise ValueError(f"atom index {mask.bit_length() - 1} out of range")
+    def __init__(self, space: FiniteMeasureSpace, mask: int):
+        if mask < 0 or mask >> space.n_atoms:
+            raise ValueError(f"atom mask {mask:#b} does not fit {space.n_atoms} atoms")
         self.space = space
         self.mask = mask
 
@@ -197,9 +196,6 @@ class MeasurableSet:
     def member_points(self) -> frozenset[str]:
         return frozenset(p for i in _ids(self.mask) for p in self.space.atoms[i])
 
-    def _with(self, mask: int) -> "MeasurableSet":
-        return MeasurableSet(self.space, _ids(mask))
-
     def _check_same_space(self, other: "MeasurableSet") -> int:
         if not isinstance(other, MeasurableSet):
             raise TypeError("expected a MeasurableSet")
@@ -208,16 +204,16 @@ class MeasurableSet:
         return other.mask
 
     def union(self, other: "MeasurableSet") -> "MeasurableSet":
-        return self._with(self.mask | self._check_same_space(other))
+        return MeasurableSet(self.space, self.mask | self._check_same_space(other))
 
     def intersection(self, other: "MeasurableSet") -> "MeasurableSet":
-        return self._with(self.mask & self._check_same_space(other))
+        return MeasurableSet(self.space, self.mask & self._check_same_space(other))
 
     def symmetric_difference(self, other: "MeasurableSet") -> "MeasurableSet":
-        return self._with(self.mask ^ self._check_same_space(other))
+        return MeasurableSet(self.space, self.mask ^ self._check_same_space(other))
 
     def complement(self) -> "MeasurableSet":
-        return self._with(self.mask ^ ((1 << self.space.n_atoms) - 1))
+        return MeasurableSet(self.space, self.mask ^ ((1 << self.space.n_atoms) - 1))
 
     __or__ = union
     __and__ = intersection
@@ -248,14 +244,10 @@ def make_space(points: Sequence[str], partition, weights) -> FiniteMeasureSpace:
     return FiniteMeasureSpace(points, partition, weights)
 
 
-def _require_member(space: FiniteMeasureSpace, mset: MeasurableSet):
-    if mset.space != space:
-        raise ForeignSet("set belongs to a different space")
-
-
 def measure(space: FiniteMeasureSpace, mset: MeasurableSet) -> ExtRational:
     """Sum of the weights of the set's atoms; the empty set measures 0."""
-    _require_member(space, mset)
+    if mset.space != space:
+        raise ForeignSet("set belongs to a different space")
     return _weighted_sum(space.weights, mset.mask)
 
 
@@ -272,11 +264,10 @@ def set_from_points(space: FiniteMeasureSpace, point_set: Iterable[str]) -> Meas
     wanted = set(point_set)
     if not is_measurable(space, wanted):
         raise NotMeasurable(f"point set {sorted(wanted)} splits an atom")
-    return MeasurableSet(space, (space.atom_of(p) for p in wanted))
+    return MeasurableSet(space, _mask(space.atom_of(p) for p in wanted))
 
 
 def is_null(space: FiniteMeasureSpace, mset: MeasurableSet) -> bool:
-    _require_member(space, mset)
     return measure(space, mset).is_zero
 
 

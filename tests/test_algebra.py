@@ -7,10 +7,12 @@ import pytest
 
 from malg import (
     INF,
+    AlgebraElement,
     ExtRational,
     ForeignElement,
     ForeignFunction,
     L1Function,
+    MeasurableSet,
     NotInFinIdeal,
     build_algebra,
     chi_embed,
@@ -88,6 +90,21 @@ def test_masks_and_derived_views(s1):
     assert (~top).mask == 0 and top.atom_ids == frozenset({0, 1})
     with pytest.raises(ValueError):
         alg.element((2,))
+    # the constructors take the mask itself
+    assert AlgebraElement(alg, 0b011) == alg.top
+    assert MeasurableSet(s1, 0b101) == s1.atom_set([0, 2])
+    with pytest.raises(ValueError):
+        AlgebraElement(alg, 0b100)  # atom 2 is null
+    with pytest.raises(ValueError):
+        AlgebraElement(alg, -1)  # must not loop over infinitely many bits
+    with pytest.raises(ValueError):
+        MeasurableSet(s1, -1)
+    with pytest.raises(ValueError):
+        MeasurableSet(s1, 0b1000)  # s1 has three atoms
+    with pytest.raises(TypeError):
+        AlgebraElement(alg, (0, 1))  # ids go through alg.element
+    with pytest.raises(TypeError):
+        MeasurableSet(s1, (0, 1))  # ids go through s1.atom_set
 
 
 def test_project_is_homomorphism_worked_example(s1):

@@ -9,7 +9,17 @@ from pathlib import Path
 import pytest
 
 import malg
-from malg import make_map, make_space
+import malg.maps
+from malg import (
+    AlgebraElement,
+    BooleanHom,
+    ExtRational,
+    PushforwardMeasure,
+    induced_homomorphism,
+    make_map,
+    make_space,
+    mu_bar,
+)
 from malg.cli import main
 from malg.formats import dumps_canonical, map_to_obj, space_to_obj
 
@@ -205,9 +215,11 @@ def test_theorem_check_budget_exceeded(capsys, phi_file):
     assert report["results"]["error"]["error"] == "BudgetExceeded"
 
 
-def test_theorem_check_requires_input():
-    with pytest.raises(SystemExit):
+def test_theorem_check_requires_input(capsys):
+    with pytest.raises(SystemExit) as exc:
         main(["theorem-check"])
+    assert exc.value.code == 2
+    assert "theorem-check needs a map path or --trials N" in capsys.readouterr().err
 
 
 def test_theorem_check_mutation_exits_1(capsys, phi_file, monkeypatch):
@@ -294,3 +306,51 @@ def test_module_entry_point(phi_file):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["results"]["classification"]["compression"] == "5/6"
+
+
+def _skip_last_source_atom(phi):
+    # off-by-one: each preimage block loses its last source atom
+    masses = tuple(
+        sum((phi.source.weights[a] for a in block[:-1]), ExtRational(0))
+        for block in phi.atom_preimages
+    )
+    return PushforwardMeasure(phi.target, masses)
+
+
+def _lowest_atom_only(elem):
+    # counts only the lowest atom of the element
+    return mu_bar(AlgebraElement(elem.algebra, elem.mask & -elem.mask))
+
+
+def _drop_lowest_image_atom(phi):
+    # each target atom's image loses its lowest source atom; the images
+    # stay disjoint, so fast and the oracle still agree with each other
+    hom = induced_homomorphism(phi)
+    action = {
+        b: AlgebraElement(hom.codomain, e.mask & (e.mask - 1))
+        for b, e in hom.atom_action.items()
+    }
+    return BooleanHom(hom.domain, hom.codomain, action)
+
+
+@pytest.mark.parametrize(
+    "name, fault, odd_one_out",
+    [
+        # only compression reads the pushforward
+        ("pushforward", _skip_last_source_atom, "compression"),
+        # only lipschitz_fast reads mu_bar
+        ("mu_bar", _lowest_atom_only, "lipschitz_fast"),
+        # fast and the oracle share the hom, compression does not
+        ("induced_homomorphism", _drop_lowest_image_atom, "compression"),
+    ],
+)
+def test_planted_fault_caught(capsys, monkeypatch, name, fault, odd_one_out):
+    monkeypatch.setattr(malg.maps, name, fault)
+    code, report = run_cli(capsys, ["theorem-check", "--trials", "30", "--seed", "7"])
+    assert code == 1 and report["violations"]
+    # every violation shows the faulty route alone against the other two
+    routes = ("compression", "lipschitz_fast", "lipschitz_bruteforce")
+    for violation in report["violations"]:
+        witness = violation["witness"]
+        a, b = (witness[r] for r in routes if r != odd_one_out)
+        assert a == b != witness[odd_one_out]

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from malg import make_map, make_metric_space, make_space
+from malg import InvalidRational, make_map, make_metric_space, make_space
 from malg.cli import main
 from malg.formats import map_to_obj
 from malg.rationals import MAX_DIGITS, parse_rational
@@ -29,7 +29,7 @@ _edges = st.sampled_from(["inf", " inf ", "1e4300", "1e-4299"])
 def test_parse_rational_total(text):
     try:
         value = parse_rational(text)
-    except ValueError:
+    except InvalidRational:
         return
     assert value is None or (
         isinstance(value, Fraction)

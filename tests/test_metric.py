@@ -9,6 +9,7 @@ from malg import (
     ArityMismatch,
     BooleanHom,
     CompressionResult,
+    InvalidRational,
     MetricAxiomViolation,
     NonPositiveFactor,
     NotInverseNilPreserving,
@@ -161,6 +162,8 @@ def test_rescale_space():
         rescale_space(mm, 0.1)  # would be 3602879701896397/36028797018963968
     with pytest.raises(ValueError):
         rescale_space(mm, "1e5000")  # over the digit bound
+    with pytest.raises(InvalidRational):
+        rescale_space(mm, "abc")
 
 
 def test_rescaling_scales_lipschitz_exactly(s2_metric, s3_metric):

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from malg import INF, ExtRational, IndeterminateRatio, ZeroDenominator
+from malg import INF, ExtRational, IndeterminateRatio, InvalidRational, ZeroDenominator
+from malg.rationals import to_fraction
 
 
 def test_lowest_terms():
@@ -39,6 +40,14 @@ def test_string_digit_bound():
     for text in ["1e4300", "1e-4300", "1" * 4301, "1/" + "3" * 4301, "1e99999999"]:
         with pytest.raises(ValueError):
             ExtRational(text)
+    # InvalidRational is a MalgError that is still a ValueError
+    with pytest.raises(InvalidRational):
+        ExtRational("1e4300")
+    with pytest.raises(InvalidRational):
+        ExtRational("abc")
+    with pytest.raises(InvalidRational):
+        to_fraction("inf")  # finite values only by default
+    assert to_fraction("inf", finite=False) is None
 
 
 def test_zero_denominator_at_construction():

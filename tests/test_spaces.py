@@ -10,6 +10,7 @@ from malg import (
     DuplicatePoint,
     ExtRational,
     ForeignSet,
+    InvalidRational,
     NegativeWeight,
     NotMeasurable,
     PartitionGap,
@@ -71,6 +72,8 @@ def test_construction_errors():
         make_space(["p1"], [["p1", "zz"]], [1])
     with pytest.raises(TypeError):
         make_space(["p1"], [["p1"]], [0.1])  # floats are never exact weights
+    with pytest.raises(InvalidRational):
+        make_space(["p"], [["p"]], ["abc"])
 
 
 def test_empty_space_is_valid():
