@@ -14,6 +14,7 @@ exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -218,12 +219,10 @@ def _theorem_record(index: int, phi: MeasurableMap, budget: int) -> dict:
 
 def cmd_theorem_check(args, loader: _Loader, *loaded) -> RunReport:
     budget = args.budget
-    instances: list[tuple[int, MeasurableMap]] = []
     if loaded:
-        instances.append((0, loaded[0][0]))
-    else:
-        for i in range(args.trials):
-            instances.append((i, random_instance(args.seed, i)))
+        instances = [(0, loaded[0][0])]
+    else:  # drawn one at a time, so memory does not grow with --trials
+        instances = ((i, random_instance(args.seed, i)) for i in range(args.trials))
 
     records = []
     violations = []
@@ -318,7 +317,11 @@ def render(report: RunReport, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built by the first call and shared by every later
+    one. Parsing only reads it: each call gets a fresh namespace, and
+    errors and help go to the sys.stderr and sys.stdout of the moment."""
     parser = argparse.ArgumentParser(
         prog="malg",
         description="Exact measure-algebra computations on finite measure spaces.",
@@ -364,8 +367,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "theorem-check" and args.map is None and args.trials <= 0:
-        parser.error("theorem-check needs a map path or --trials N")
+    if args.command == "theorem-check":
+        if args.map is None and args.trials <= 0:
+            parser.error("theorem-check needs a map path or --trials N")
+        if args.budget < 0:
+            parser.error("--budget must be 0 or more")
     loader = _Loader()
     paths = [getattr(args, name) for name in args.map_args]
     try:
@@ -379,7 +385,12 @@ def main(argv=None) -> int:
             report = _input_error(args, loader, exc)
     text = render(report, args.format)
     if args.output:
-        Path(args.output).write_text(text)
+        try:
+            Path(args.output).write_text(text)
+        except (OSError, ValueError) as exc:  # ValueError: a path with a NUL byte
+            print(f"malg: error: cannot write --output {args.output!r}: {exc}",
+                  file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return report.exit_code

@@ -210,9 +210,33 @@ def test_theorem_check_trials(capsys):
 
 
 def test_theorem_check_budget_exceeded(capsys, phi_file):
-    code, report = run_cli(capsys, ["theorem-check", phi_file, "--budget", "1"])
-    assert code == 3
-    assert report["results"]["error"]["error"] == "BudgetExceeded"
+    for budget in ("1", "0"):  # 0 is a budget, not a usage error
+        code, report = run_cli(capsys, ["theorem-check", phi_file, "--budget", budget])
+        assert code == 3
+        assert report["results"]["error"]["error"] == "BudgetExceeded"
+
+
+def test_negative_budget_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["theorem-check", "--trials", "1", "--budget", "-1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--budget must be 0 or more" in captured.err
+
+
+@pytest.mark.parametrize("case", ["missing-directory", "directory", "nul-byte"])
+def test_unwritable_output_exits_2(capsys, phi_file, tmp_path, case):
+    output = {
+        "missing-directory": str(tmp_path / "nope" / "report.json"),
+        "directory": str(tmp_path),
+        "nul-byte": str(tmp_path / "a\0b.json"),
+    }[case]
+    assert main(["classify", phi_file, "--output", output]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("malg: error: cannot write --output ")
+    assert captured.err.count("\n") == 1
 
 
 def test_theorem_check_requires_input(capsys):
@@ -294,18 +318,23 @@ def test_text_format(capsys, phi_file):
     assert "violations: none" in out
 
 
-def test_module_entry_point(phi_file):
-    # the child imports the malg under test, installed or not
+def _fresh_process_output(argv) -> bytes:
+    """stdout of `python -m malg` in a child that imports the malg under
+    test, installed or not."""
     src = str(Path(malg.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "malg", "classify", phi_file],
+        [sys.executable, "-m", "malg", *argv],
         capture_output=True,
-        text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["results"]["classification"]["compression"] == "5/6"
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_module_entry_point(phi_file):
+    report = json.loads(_fresh_process_output(["classify", phi_file]))
+    assert report["results"]["classification"]["compression"] == "5/6"
 
 
 def _skip_last_source_atom(phi):
@@ -354,3 +383,35 @@ def test_planted_fault_caught(capsys, monkeypatch, name, fault, odd_one_out):
         witness = violation["witness"]
         a, b = (witness[r] for r in routes if r != odd_one_out)
         assert a == b != witness[odd_one_out]
+
+
+def test_parser_reused_across_calls(capsysbinary, s1, phi_file, tmp_path):
+    # one process, one parser: usage errors and --help leave it fit for
+    # the next call, and every report matches a fresh process's bytes
+    import malg.cli as cli
+
+    space = tmp_path / "s1.json"
+    space.write_text(dumps_canonical(space_to_obj(s1)))
+    cli.build_parser.cache_clear()
+    reports = []
+
+    def call(argv):
+        assert main(argv) == 0
+        reports.append((argv, capsysbinary.readouterr().out))
+
+    call(["validate", str(space), phi_file])
+    with pytest.raises(SystemExit) as exc:
+        main(["classify"])
+    assert exc.value.code == 2
+    err = capsysbinary.readouterr().err.decode()
+    assert err.startswith("usage: malg classify") and "required: map" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsysbinary.readouterr().out.startswith(b"usage: malg")
+    call(["classify", phi_file])
+    call(["classify", phi_file, "--format", "text"])
+    call(["theorem-check", "--trials", "5", "--seed", "7"])
+    assert cli.build_parser.cache_info().misses == 1
+    for argv, out in reports:
+        assert out == _fresh_process_output(argv), argv

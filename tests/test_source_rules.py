@@ -38,3 +38,40 @@ def test_no_float_literal_or_name():
             assert not (
                 isinstance(node, ast.Name) and node.id == "float"
             ), f"{name}:{node.lineno} uses the name float"
+
+
+def _is_main_guard(node) -> bool:
+    return (
+        isinstance(node, ast.If)
+        and isinstance(node.test, ast.Compare)
+        and isinstance(node.test.left, ast.Name)
+        and node.test.left.id == "__name__"
+    )
+
+
+def _import_time_calls(tree):
+    """Calls that run when the module is imported: all but function bodies
+    (decorators and default values do run) and the `__main__` block."""
+    todo = [node for node in tree.body if not _is_main_guard(node)]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            todo += [d for d in args.defaults + args.kw_defaults if d is not None]
+            todo += getattr(node, "decorator_list", [])
+            continue
+        if isinstance(node, ast.Call):
+            yield node
+        todo.extend(ast.iter_child_nodes(node))
+
+
+def test_cli_builds_no_parser_at_import():
+    # the parser is built by the first main call, so importing malg.cli
+    # (and the benchmark's timed set-up) pays nothing for it
+    tree = dict(_trees())["cli.py"]
+    for call in _import_time_calls(tree):
+        func = call.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        assert name not in ("build_parser", "main"), (
+            f"cli.py:{call.lineno} calls {name} at import"
+        )
