@@ -183,22 +183,6 @@ def mu_bar(elem: AlgebraElement) -> ExtRational:
     return _weighted_sum(elem.algebra.space.weights, elem.mask)
 
 
-def elem_meet(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    return a.meet(b)
-
-
-def elem_join(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    return a.join(b)
-
-
-def elem_symmdiff(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    return a.symmdiff(b)
-
-
-def elem_complement(a: AlgebraElement) -> AlgebraElement:
-    return a.complement()
-
-
 def is_fin(elem: AlgebraElement) -> bool:
     """True iff the element has finite measure."""
     return not mu_bar(elem).is_infinite

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 from .algebra import AlgebraElement
 from .errors import ArityMismatch, InvalidDocument
-from .maps import CompressionResult, MeasurableMap, make_map
+from .maps import MeasurableMap, make_map
 from .metric import FiniteMetricMeasureSpace
 from .rationals import INF, ExtRational, parse_rational
 from .spaces import FiniteMeasureSpace, make_space
@@ -23,14 +23,6 @@ from .spaces import FiniteMeasureSpace, make_space
 def dumps_canonical(obj) -> str:
     """Stable textual form of a report object (insertion-ordered keys)."""
     return json.dumps(obj, indent=2) + "\n"
-
-
-def fraction_to_str(value: Fraction) -> str:
-    return str(Fraction(value))
-
-
-def weight_to_str(w: ExtRational) -> str:
-    return str(w)
 
 
 def _read_rational(text, field: str, kind: str) -> Optional[Fraction]:
@@ -54,7 +46,7 @@ def space_to_obj(space: FiniteMeasureSpace) -> dict:
     return {
         "points": list(space.points),
         "atoms": [list(block) for block in space.atoms],
-        "weights": [weight_to_str(w) for w in space.weights],
+        "weights": [str(w) for w in space.weights],
     }
 
 
@@ -64,7 +56,7 @@ def metric_space_to_obj(mm: FiniteMetricMeasureSpace) -> dict:
     upper = []
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
-            upper.append(fraction_to_str(mm.dist[i][j]))
+            upper.append(str(mm.dist[i][j]))
     obj["dist"] = upper
     return obj
 
@@ -189,9 +181,3 @@ def obj_to_map(
 def element_to_obj(elem: AlgebraElement) -> list[int]:
     return list(elem.sort_key)
 
-
-def compression_to_obj(result: CompressionResult) -> dict:
-    return {
-        "compression": str(result),
-        "degenerate": result.degenerate,
-    }

@@ -33,7 +33,7 @@ from .errors import (
     SpaceMismatch,
     UnknownPoint,
 )
-from .rationals import INF, ExtRational, to_fraction
+from .rationals import ExtRational, to_fraction
 from .spaces import FiniteMeasureSpace, _ids, _mask, _submasks
 
 
@@ -140,13 +140,6 @@ class PushforwardMeasure:
     def __init__(self, target: FiniteMeasureSpace, masses: tuple[ExtRational, ...]):
         self.target = target
         self.masses = masses
-
-    def mass(self, atom_id: int) -> ExtRational:
-        return self.masses[atom_id]
-
-    @property
-    def total(self) -> ExtRational:
-        return sum(self.masses, ExtRational(0))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PushforwardMeasure):
@@ -287,10 +280,6 @@ def induced_homomorphism(phi: MeasurableMap) -> BooleanHom:
     return BooleanHom(domain, codomain, action)
 
 
-def apply_hom(hom: BooleanHom, elem: AlgebraElement) -> AlgebraElement:
-    return hom.apply(elem)
-
-
 @dataclass(frozen=True)
 class CompressionResult:
     """Either a finite infimal constant or the unbounded outcome."""
@@ -300,10 +289,6 @@ class CompressionResult:
     @classmethod
     def bounded(cls, value) -> "CompressionResult":
         return cls(to_fraction(value))
-
-    @classmethod
-    def unbounded(cls) -> "CompressionResult":
-        return cls(None)
 
     @property
     def is_bounded(self) -> bool:
@@ -345,7 +330,7 @@ def compression(phi: MeasurableMap) -> CompressionResult:
     best: Optional[Fraction] = None
     for b in range(phi.target.n_atoms):
         w = phi.target.weights[b]
-        m = push.mass(b)
+        m = push.masses[b]
         if w.is_zero:
             if not m.is_zero:
                 return UNBOUNDED
@@ -360,29 +345,6 @@ def compression(phi: MeasurableMap) -> CompressionResult:
         if best is None or ratio > best:
             best = ratio
     return CompressionResult.bounded(best if best is not None else 0)
-
-
-def radon_nikodym(phi: MeasurableMap) -> tuple[ExtRational, ...]:
-    """Per-target-atom density of the pushforward against the target measure.
-
-    Conventions: density 0 where the pushforward mass vanishes; on atoms
-    of infinite weight, 0 for finite mass and inf for infinite mass. The
-    max density equals the compression whenever all densities are finite.
-    """
-    if not is_inverse_nil_preserving(phi):
-        raise NotInverseNilPreserving("density exists only for inp maps")
-    push = pushforward(phi)
-    densities = []
-    for b in range(phi.target.n_atoms):
-        w = phi.target.weights[b]
-        m = push.mass(b)
-        if m.is_zero:
-            densities.append(ExtRational(0))
-        elif w.is_infinite:
-            densities.append(INF if m.is_infinite else ExtRational(0))
-        else:
-            densities.append(m / w)
-    return tuple(densities)
 
 
 def lipschitz_fast(phi: MeasurableMap) -> CompressionResult:
@@ -468,9 +430,18 @@ def lipschitz_bruteforce(phi: MeasurableMap, budget: int = 12) -> BruteForceRepo
 
     def mu1(mask: int) -> Fraction:
         got = mu1_cache.get(mask)
-        if got is None:
+        if got is not None:
+            return got
+        # strip low bits down to a cached submask, then add them back in
+        # turn; a loop, so a mask of thousands of bits stays in one frame
+        chain = []
+        while got is None:
+            chain.append(mask)
+            mask &= mask - 1
+            got = mu1_cache.get(mask)
+        for mask in reversed(chain):
             low = (mask & -mask).bit_length() - 1
-            got = mu1(mask & (mask - 1)) + src_weights[low].as_fraction()
+            got += src_weights[low].as_fraction()
             mu1_cache[mask] = got
         return got
 

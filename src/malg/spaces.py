@@ -128,9 +128,6 @@ class FiniteMeasureSpace:
         except KeyError:
             raise UnknownPoint(f"unknown point {point!r}") from None
 
-    def weight(self, atom_id: int) -> ExtRational:
-        return self.weights[atom_id]
-
     @property
     def total_mass(self) -> ExtRational:
         return sum(self.weights, ExtRational(0))
@@ -189,10 +186,6 @@ class MeasurableSet:
     def atom_ids(self) -> frozenset[int]:
         return frozenset(_ids(self.mask))
 
-    @property
-    def sorted_ids(self) -> tuple[int, ...]:
-        return _ids(self.mask)
-
     def member_points(self) -> frozenset[str]:
         return frozenset(p for i in _ids(self.mask) for p in self.space.atoms[i])
 
@@ -229,7 +222,7 @@ class MeasurableSet:
         return hash((self.space, self.mask))
 
     def __repr__(self) -> str:
-        return f"MeasurableSet(atoms={list(self.sorted_ids)})"
+        return f"MeasurableSet(atoms={list(_ids(self.mask))})"
 
 
 def make_space(points: Sequence[str], partition, weights) -> FiniteMeasureSpace:
@@ -270,18 +263,3 @@ def set_from_points(space: FiniteMeasureSpace, point_set: Iterable[str]) -> Meas
 def is_null(space: FiniteMeasureSpace, mset: MeasurableSet) -> bool:
     return measure(space, mset).is_zero
 
-
-def set_union(a: MeasurableSet, b: MeasurableSet) -> MeasurableSet:
-    return a.union(b)
-
-
-def set_intersection(a: MeasurableSet, b: MeasurableSet) -> MeasurableSet:
-    return a.intersection(b)
-
-
-def set_symmetric_difference(a: MeasurableSet, b: MeasurableSet) -> MeasurableSet:
-    return a.symmetric_difference(b)
-
-
-def set_complement(a: MeasurableSet) -> MeasurableSet:
-    return a.complement()

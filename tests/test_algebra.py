@@ -16,10 +16,6 @@ from malg import (
     NotInFinIdeal,
     build_algebra,
     chi_embed,
-    elem_complement,
-    elem_join,
-    elem_meet,
-    elem_symmdiff,
     is_fin,
     l1_distance,
     make_space,
@@ -72,12 +68,14 @@ def test_mu_bar_positive_on_nonzero(fixture_spaces):
 def test_element_operations(s1):
     alg = build_algebra(s1)
     a = alg.element((0,))
-    assert elem_symmdiff(a, a) == alg.zero
-    assert elem_complement(elem_complement(a)) == a
-    assert elem_join(a, alg.element((1,))) == alg.top
-    assert elem_meet(a, alg.element((1,))) == alg.zero
+    assert a.symmdiff(a) == alg.zero
+    assert a.complement().complement() == a
+    assert a.join(alg.element((1,))) == alg.top
+    assert a.meet(alg.element((1,))) == alg.zero
+    assert (a | alg.element((1,))) == alg.top and (a & alg.element((1,))) == alg.zero
+    assert (a ^ a) == alg.zero and ~alg.zero == alg.top
     with pytest.raises(ForeignElement):
-        elem_meet(a, build_algebra(make_space(["z"], [["z"]], [1])).zero)
+        a.meet(build_algebra(make_space(["z"], [["z"]], [1])).zero)
 
 
 def test_masks_and_derived_views(s1):

@@ -209,6 +209,25 @@ def test_theorem_check_trials(capsys):
     assert report["violations"] == []
 
 
+def test_theorem_check_many_source_atoms(capsys, tmp_path):
+    # the oracle's source-side mass of one image spans 1,200 atoms; it
+    # must not recurse once per atom
+    points = [f"p{i}" for i in range(1200)]
+    doc = {
+        "source": {"points": points, "atoms": [[p] for p in points],
+                   "weights": ["1"] * len(points)},
+        "target": {"points": ["q"], "atoms": [["q"]], "weights": ["1"]},
+        "fn": {p: "q" for p in points},
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    code, report = run_cli(capsys, ["theorem-check", str(path)])
+    assert code == 0
+    rec = report["results"]["instances"][0]
+    assert rec["compression"] == rec["lipschitz_bruteforce"] == "1200"
+    assert rec["agree"] is True
+
+
 def test_theorem_check_budget_exceeded(capsys, phi_file):
     for budget in ("1", "0"):  # 0 is a budget, not a usage error
         code, report = run_cli(capsys, ["theorem-check", phi_file, "--budget", budget])

@@ -1,4 +1,5 @@
-"""Source rules the README promises: stdlib-only imports and no floats."""
+"""Source rules the README promises: stdlib-only imports and no floats;
+plus one export list that matches what the package imports."""
 
 import ast
 import sys
@@ -75,3 +76,16 @@ def test_cli_builds_no_parser_at_import():
         assert name not in ("build_parser", "main"), (
             f"cli.py:{call.lineno} calls {name} at import"
         )
+
+
+def test_all_matches_package_imports():
+    # __all__ and the import block of __init__.py name the same API once
+    tree = dict(_trees())["__init__.py"]
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+    assert malg.__all__ == sorted(set(malg.__all__))
+    assert set(malg.__all__) == imported

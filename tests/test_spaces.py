@@ -20,11 +20,7 @@ from malg import (
     is_null,
     make_space,
     measure,
-    set_complement,
     set_from_points,
-    set_intersection,
-    set_symmetric_difference,
-    set_union,
 )
 
 
@@ -121,15 +117,15 @@ def test_set_operations(s1):
     b = s1.atom_set([1])
     ab = s1.atom_set([0, 1])
     bc = s1.atom_set([1, 2])
-    assert set_symmetric_difference(a, a) == s1.empty_set()
-    assert set_symmetric_difference(a, s1.empty_set()) == a
-    assert set_intersection(ab, bc) == b
-    assert set_union(a, b) == ab
-    assert set_complement(ab) == s1.atom_set([2])
+    assert a.symmetric_difference(a) == s1.empty_set()
+    assert a.symmetric_difference(s1.empty_set()) == a
+    assert ab.intersection(bc) == b
+    assert a.union(b) == ab
+    assert ab.complement() == s1.atom_set([2])
     assert (a | b) == ab and (ab & bc) == b and (a ^ a) == s1.empty_set()
     assert ~s1.empty_set() == s1.full_set()
     with pytest.raises(ForeignSet):
-        set_union(a, make_space(["z"], [["z"]], [1]).atom_set([0]))
+        a.union(make_space(["z"], [["z"]], [1]).atom_set([0]))
 
 
 def test_is_null(s1):
