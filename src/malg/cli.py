@@ -22,9 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from .errors import (
-    BudgetExceeded, InvalidDocument, MalgError, NotInverseNilPreserving, SpaceMismatch
-)
+from .errors import BudgetExceeded, InvalidDocument, MalgError
 from .formats import (
     dumps_canonical,
     element_to_obj,
@@ -274,10 +272,7 @@ def cmd_theorem_check(args, loader: _Loader, *loaded) -> RunReport:
 
 def cmd_functor_check(args, loader: _Loader, f_loaded, g_loaded) -> RunReport:
     f, g = f_loaded[0], g_loaded[0]
-    try:
-        report = contravariance_check(f, g)
-    except (SpaceMismatch, NotInverseNilPreserving) as exc:  # a pair unfit for the laws
-        return _input_error(args, loader, exc)
+    report = contravariance_check(f, g)  # an unfit pair raises: exit 2 in main
     submult = compression_submultiplicativity(f, g)
     violations = [
         {"law": v.law, "witness": v.witness} for v in report.violations
@@ -376,13 +371,9 @@ def main(argv=None) -> int:
     paths = [getattr(args, name) for name in args.map_args]
     try:
         loaded = [loader.load_map(path) for path in paths if path is not None]
-    except (MalgError, OSError) as exc:  # the one path from a bad document to exit 2
+        report = args.handler(args, loader, *loaded)
+    except (MalgError, OSError) as exc:  # the one path from bad input to exit 2
         report = _input_error(args, loader, exc)
-    else:
-        try:
-            report = args.handler(args, loader, *loaded)
-        except InvalidDocument as exc:  # only _text raises it after loading
-            report = _input_error(args, loader, exc)
     text = render(report, args.format)
     if args.output:
         try:

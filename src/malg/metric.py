@@ -185,13 +185,14 @@ def classify(
 def composition_law_violations(
     hom_gf: BooleanHom, hom_f: BooleanHom, hom_g: BooleanHom
 ) -> list[LawViolation]:
-    """Compare (g after f)'s hom with f's hom composed after g's hom."""
-    out = []
-    for e in hom_gf.domain.all_elements():
+    """Compare (g after f)'s hom with f's hom composed after g's hom on
+    each atom of the domain; the lowest failing atom is the witness."""
+    for b in hom_gf.domain.nonnull_atoms:
+        e = hom_gf.domain.element((b,))
         via_composite = hom_gf.apply(e)
         via_factors = hom_f.apply(hom_g.apply(e))
         if via_composite != via_factors:
-            out.append(
+            return [
                 LawViolation(
                     "contravariant-composition",
                     {
@@ -200,15 +201,15 @@ def composition_law_violations(
                         "via_factors": list(via_factors.sort_key),
                     },
                 )
-            )
-            break
-    return out
+            ]
+    return []
 
 
 def identity_law_violations(space: FiniteMeasureSpace) -> list[LawViolation]:
-    """The hom induced by the identity map must act as the identity."""
+    """The hom induced by the identity map must fix every atom."""
     hom = induced_homomorphism(identity_map(space))
-    for e in hom.domain.all_elements():
+    for b in hom.domain.nonnull_atoms:
+        e = hom.domain.element((b,))
         if hom.apply(e) != e:
             return [
                 LawViolation(
@@ -224,6 +225,12 @@ def identity_law_violations(space: FiniteMeasureSpace) -> list[LawViolation]:
 
 def contravariance_check(f: MeasurableMap, g: MeasurableMap) -> LawReport:
     """Certify functoriality on a composable pair: images reverse order.
+
+    Both laws are checked on atoms alone, in time linear in the atoms.
+    That is exact: `BooleanHom.apply` sends an element to the join of
+    its atoms' images, and a join of joins is a join, so two homs built
+    this way agree on every element exactly when they agree on every
+    atom. On homs the library induced, a violation means a library fault.
 
     Requires f and g (hence g after f) to be inverse-nil-preserving;
     raises NotInverseNilPreserving otherwise, SpaceMismatch when the pair

@@ -5,6 +5,8 @@ pushforward oracle works from the raw point function, the compression
 oracle scans every measurable target set against the defining
 inequality, and the scaled mass tables are re-derived from atom weights
 and cross-checked against the public rho before any law uses them.
+`drop_lowest_image_atom` is a planted hom fault shared by the CLI and
+metric tests.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from math import lcm
 
 from malg import (
     UNBOUNDED,
+    AlgebraElement,
+    BooleanHom,
     CompressionResult,
     ExtRational,
     MeasurableMap,
@@ -96,3 +100,12 @@ def assert_table_matches_rho(algebra: MeasureAlgebra, table: list[int], denom: i
     for a in range(len(elems)):
         for b in range(len(elems)):
             assert Fraction(table[a ^ b], denom) == rho(elems[a], elems[b])
+
+
+def drop_lowest_image_atom(hom: BooleanHom) -> BooleanHom:
+    """A planted fault: each atom's image loses its lowest source atom."""
+    action = {
+        b: AlgebraElement(hom.codomain, e.mask & (e.mask - 1))
+        for b, e in hom.atom_action.items()
+    }
+    return BooleanHom(hom.domain, hom.codomain, action)

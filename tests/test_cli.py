@@ -4,17 +4,19 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import malg
 import malg.maps
+import malg.metric
 from malg import (
     AlgebraElement,
-    BooleanHom,
     ExtRational,
     PushforwardMeasure,
+    identity_map,
     induced_homomorphism,
     make_map,
     make_space,
@@ -22,6 +24,8 @@ from malg import (
 )
 from malg.cli import main
 from malg.formats import dumps_canonical, map_to_obj, space_to_obj
+
+from helpers import drop_lowest_image_atom
 
 
 @pytest.fixture
@@ -308,8 +312,6 @@ def test_theorem_check_deterministic_output(tmp_path):
 
 
 def test_functor_check_identity_pair(capsys, phi, s1, tmp_path):
-    from malg import identity_map
-
     ident = identity_map(s1)
     f_path = tmp_path / "id.json"
     f_path.write_text(dumps_canonical(map_to_obj(ident)))
@@ -328,6 +330,21 @@ def test_functor_check_non_composable(capsys, phi_file):
     assert report["results"]["error"] == "SpaceMismatch"
 
 
+def test_functor_check_linear_in_atoms(tmp_path):
+    # 26 singleton atoms: walking the 2^26 elements of each algebra would
+    # not finish, the atom check is linear
+    points = [f"p{i}" for i in range(26)]
+    space = make_space(points, [[p] for p in points], [1] * len(points))
+    path = tmp_path / "id26.json"
+    path.write_text(dumps_canonical(map_to_obj(identity_map(space))))
+    start = time.perf_counter()
+    out = _fresh_process_output(["functor-check", str(path), str(path)], timeout=20)
+    elapsed = time.perf_counter() - start
+    report = json.loads(out)
+    assert report["exit_code"] == 0 and report["violations"] == []
+    assert elapsed < 2, elapsed
+
+
 def test_text_format(capsys, phi_file):
     code = main(["classify", phi_file, "--format", "text"])
     out = capsys.readouterr().out
@@ -337,7 +354,7 @@ def test_text_format(capsys, phi_file):
     assert "violations: none" in out
 
 
-def _fresh_process_output(argv) -> bytes:
+def _fresh_process_output(argv, timeout=None) -> bytes:
     """stdout of `python -m malg` in a child that imports the malg under
     test, installed or not."""
     src = str(Path(malg.__file__).parents[1])
@@ -346,6 +363,7 @@ def _fresh_process_output(argv) -> bytes:
         [sys.executable, "-m", "malg", *argv],
         capture_output=True,
         env={**os.environ, "PYTHONPATH": path},
+        timeout=timeout,
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
@@ -371,14 +389,9 @@ def _lowest_atom_only(elem):
 
 
 def _drop_lowest_image_atom(phi):
-    # each target atom's image loses its lowest source atom; the images
-    # stay disjoint, so fast and the oracle still agree with each other
-    hom = induced_homomorphism(phi)
-    action = {
-        b: AlgebraElement(hom.codomain, e.mask & (e.mask - 1))
-        for b, e in hom.atom_action.items()
-    }
-    return BooleanHom(hom.domain, hom.codomain, action)
+    # the images stay disjoint, so fast and the oracle still agree with
+    # each other
+    return drop_lowest_image_atom(induced_homomorphism(phi))
 
 
 @pytest.mark.parametrize(
@@ -402,6 +415,19 @@ def test_planted_fault_caught(capsys, monkeypatch, name, fault, odd_one_out):
         witness = violation["witness"]
         a, b = (witness[r] for r in routes if r != odd_one_out)
         assert a == b != witness[odd_one_out]
+
+
+def test_planted_fault_caught_by_functor_check(
+    capsys, monkeypatch, phi, s1, tmp_path
+):
+    monkeypatch.setattr(malg.metric, "induced_homomorphism", _drop_lowest_image_atom)
+    f_path, g_path = tmp_path / "id.json", tmp_path / "phi.json"
+    f_path.write_text(dumps_canonical(map_to_obj(identity_map(s1))))
+    g_path.write_text(dumps_canonical(map_to_obj(phi)))
+    code, report = run_cli(capsys, ["functor-check", str(f_path), str(g_path)])
+    assert code == 1
+    laws = {v["law"] for v in report["violations"]}
+    assert laws == {"identity-hom", "contravariant-composition"}
 
 
 def test_parser_reused_across_calls(capsysbinary, s1, phi_file, tmp_path):

@@ -98,3 +98,4 @@ def test_cli_survives_mutated_documents(tmp_path_factory, doc):
     path.write_text(json.dumps(doc))
     for command in ("validate", "classify", "theorem-check"):
         assert main([command, str(path), "--output", str(out)]) in (0, 2, 3)
+    assert main(["functor-check", str(path), str(path), "--output", str(out)]) in (0, 2)

@@ -28,9 +28,14 @@ from malg import (
     random_composable_pair,
     rescale_space,
 )
-from malg.metric import FiniteMetricMeasureSpace, composition_law_violations
+import malg.metric
+from malg.metric import (
+    FiniteMetricMeasureSpace,
+    composition_law_violations,
+    identity_law_violations,
+)
 
-from helpers import oracle_compression
+from helpers import drop_lowest_image_atom, oracle_compression
 
 
 def three_point_metric():
@@ -238,6 +243,72 @@ def test_corrupted_hom_fails_contravariance(phi, s2):
     assert violations
     assert violations[0].law == "contravariant-composition"
     assert "element" in violations[0].witness
+
+
+def _swap_lowest_actions(hom):
+    # the two lowest atoms trade images: still a lawful hom
+    action = dict(hom.atom_action)
+    if len(action) >= 2:
+        a, b = sorted(action)[:2]
+        action[a], action[b] = action[b], action[a]
+    return BooleanHom(hom.domain, hom.codomain, action)
+
+
+def _check_against_walk(violations, differing) -> bool:
+    """The atom check flags a law exactly when the exhaustive walk finds a
+    differing element, and its witness is the lowest differing atom."""
+    assert bool(violations) == bool(differing)
+    if violations:
+        atoms = [e.sort_key for e in differing if len(e.sort_key) == 1]
+        assert violations[0].witness["element"] == list(min(atoms))
+    return bool(violations)
+
+
+@pytest.mark.parametrize(
+    "corrupt", [None, _swap_lowest_actions, drop_lowest_image_atom]
+)
+def test_composition_atom_check_matches_walk(corrupt):
+    outcomes = []
+    for index in range(40):
+        f, g = random_composable_pair(24, index)
+        try:
+            homs = [induced_homomorphism(m) for m in (compose(g, f), f, g)]
+        except NotInverseNilPreserving:
+            continue
+        if corrupt is None:
+            variants = [homs]
+        else:
+            variants = [
+                homs[:k] + [corrupt(homs[k])] + homs[k + 1:] for k in range(3)
+            ]
+        for hom_gf, hom_f, hom_g in variants:
+            differing = [
+                e
+                for e in hom_gf.domain.all_elements()
+                if hom_gf.apply(e) != hom_f.apply(hom_g.apply(e))
+            ]
+            violations = composition_law_violations(hom_gf, hom_f, hom_g)
+            outcomes.append(_check_against_walk(violations, differing))
+    assert len(outcomes) >= 20
+    assert any(outcomes) == (corrupt is not None)
+
+
+@pytest.mark.parametrize(
+    "corrupt", [None, _swap_lowest_actions, drop_lowest_image_atom]
+)
+def test_identity_atom_check_matches_walk(monkeypatch, fixture_spaces, corrupt):
+    def induced(phi):
+        hom = induced_homomorphism(phi)
+        return hom if corrupt is None else corrupt(hom)
+
+    monkeypatch.setattr(malg.metric, "induced_homomorphism", induced)
+    outcomes = []
+    for space in fixture_spaces:
+        hom = induced(identity_map(space))
+        differing = [e for e in hom.domain.all_elements() if hom.apply(e) != e]
+        violations = identity_law_violations(space)
+        outcomes.append(_check_against_walk(violations, differing))
+    assert any(outcomes) == (corrupt is not None)
 
 
 def test_submultiplicativity_identity(phi, s2):
