@@ -19,6 +19,11 @@ from .metric import FiniteMetricMeasureSpace
 from .rationals import INF, ExtRational, parse_rational
 from .spaces import FiniteMeasureSpace, make_space
 
+# The metric axioms are checked on every triple of points, so a metric
+# document's cost grows with the cube of its points; 200 points with
+# small denominators validate in about a second (Python 3.11, 2-core x86).
+MAX_METRIC_POINTS = 200
+
 
 def dumps_canonical(obj) -> str:
     """Stable textual form of a report object (insertion-ordered keys)."""
@@ -94,6 +99,10 @@ def obj_to_metric_space(obj: dict) -> FiniteMetricMeasureSpace:
     base = obj_to_space(obj)
     flat = obj.get("dist")
     n = len(base.points)
+    if n > MAX_METRIC_POINTS:
+        raise InvalidDocument(
+            f"points: a metric document has at most {MAX_METRIC_POINTS} points, got {n}"
+        )
     if not isinstance(flat, list):
         raise InvalidDocument("dist: must be a list of rational strings")
     if len(flat) != n * (n - 1) // 2:

@@ -21,6 +21,7 @@ from .errors import (
     NonPositiveFactor,
     NotInverseNilPreserving,
     SpaceMismatch,
+    UnknownPoint,
 )
 from .maps import (
     BooleanHom,
@@ -50,24 +51,35 @@ class FiniteMetricMeasureSpace:
         rows = [tuple(map(to_fraction, row)) for row in dist]
         if len(rows) != n or any(len(row) != n for row in rows):
             raise ArityMismatch(f"distance table must be {n}x{n}")
+        # The axioms are checked on int tables: a Fraction is in lowest
+        # terms with a positive denominator, so it equals another exactly
+        # when numerators and denominators do, and a triangle compares by
+        # cross-multiplying only the three entries involved.
+        num = [[f.numerator for f in row] for row in rows]
+        den = [[f.denominator for f in row] for row in rows]
         for i in range(n):
-            if rows[i][i] != 0:
+            if num[i][i] != 0:
                 raise MetricAxiomViolation(
                     f"d({base.points[i]}, {base.points[i]}) != 0"
                 )
             for j in range(n):
-                if rows[i][j] != rows[j][i]:
+                if num[i][j] != num[j][i] or den[i][j] != den[j][i]:
                     raise MetricAxiomViolation("distance table is not symmetric")
-                if i != j and rows[i][j] <= 0:
+                if i != j and num[i][j] <= 0:
                     raise MetricAxiomViolation(
                         f"d({base.points[i]}, {base.points[j]}) must be positive"
                     )
         for i in range(n):
+            ik_num, ik_den = num[i][i + 1 :], den[i][i + 1 :]
             for j in range(n):
-                # symmetry makes (k, j, i) fail exactly when (i, j, k) does,
-                # so k > i suffices and finds the same first failure
-                for k in range(i + 1, n):
-                    if rows[i][k] > rows[i][j] + rows[j][k]:
+                b_n, b_d = num[i][j], den[i][j]
+                # a > b + c for a = d(i, k), b = d(i, j), c = d(j, k), over
+                # positive denominators; symmetry makes (k, j, i) fail exactly
+                # when (i, j, k) does, so k > i finds the same first failure
+                for k, a_n, a_d, c_n, c_d in zip(
+                    range(i + 1, n), ik_num, ik_den, num[j][i + 1 :], den[j][i + 1 :]
+                ):
+                    if a_n * b_d * c_d > (b_n * c_d + c_n * b_d) * a_d:
                         raise MetricAxiomViolation(
                             "triangle inequality fails on "
                             f"({base.points[i]}, {base.points[j]}, {base.points[k]})"
@@ -77,7 +89,10 @@ class FiniteMetricMeasureSpace:
         self._index = {p: i for i, p in enumerate(base.points)}
 
     def distance(self, x: str, y: str) -> Fraction:
-        return self.dist[self._index[x]][self._index[y]]
+        try:
+            return self.dist[self._index[x]][self._index[y]]
+        except KeyError as exc:
+            raise UnknownPoint(f"unknown point {exc.args[0]!r}") from None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteMetricMeasureSpace):

@@ -6,13 +6,21 @@ oracle scans every measurable target set against the defining
 inequality, and the scaled mass tables are re-derived from atom weights
 and cross-checked against the public rho before any law uses them.
 `drop_lowest_image_atom` is a planted hom fault shared by the CLI and
-metric tests.
+metric tests, `python_child_output` runs a child interpreter on the
+malg under test. `fraction_metric_check` is the metric axiom check in
+`Fraction` arithmetic, the reference for the library's integer check.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
+from pathlib import Path
+
+import malg
 
 from malg import (
     UNBOUNDED,
@@ -22,6 +30,7 @@ from malg import (
     ExtRational,
     MeasurableMap,
     MeasureAlgebra,
+    MetricAxiomViolation,
     rho,
 )
 
@@ -109,3 +118,55 @@ def drop_lowest_image_atom(hom: BooleanHom) -> BooleanHom:
         for b, e in hom.atom_action.items()
     }
     return BooleanHom(hom.domain, hom.codomain, action)
+
+
+def fraction_metric_check(points, rows) -> None:
+    """Raise MetricAxiomViolation as FiniteMetricMeasureSpace must, on a
+    square table of Fractions, by `Fraction` comparison and addition."""
+    n = len(points)
+    for i in range(n):
+        if rows[i][i] != 0:
+            raise MetricAxiomViolation(f"d({points[i]}, {points[i]}) != 0")
+        for j in range(n):
+            if rows[i][j] != rows[j][i]:
+                raise MetricAxiomViolation("distance table is not symmetric")
+            if i != j and rows[i][j] <= 0:
+                raise MetricAxiomViolation(
+                    f"d({points[i]}, {points[j]}) must be positive"
+                )
+    for i in range(n):
+        for j in range(n):
+            for k in range(i + 1, n):
+                if rows[i][k] > rows[i][j] + rows[j][k]:
+                    raise MetricAxiomViolation(
+                        "triangle inequality fails on "
+                        f"({points[i]}, {points[j]}, {points[k]})"
+                    )
+
+
+def primes_from(start: int, count: int) -> list[int]:
+    """The first `count` primes at or above `start`, by a sieve of one
+    window of 200,000 integers (enough for about 9,000 primes near 10**9)."""
+    size = 200_000
+    sieve = bytearray([1]) * size
+    for p in range(2, isqrt(start + size) + 1):
+        first = max(p * p, (start + p - 1) // p * p)
+        sieve[first - start :: p] = bytes(len(range(first - start, size, p)))
+    found = [start + i for i in range(size) if sieve[i]]
+    assert len(found) >= count, "sieve window too small"
+    return found[:count]
+
+
+def python_child_output(args, timeout=None) -> bytes:
+    """stdout of `python *args` in a child that imports the malg under
+    test, installed or not; the child must exit 0."""
+    src = str(Path(malg.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=timeout,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout

@@ -1,15 +1,10 @@
 """CLI: exit codes, report shapes, determinism."""
 
 import json
-import os
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import pytest
 
-import malg
 import malg.maps
 import malg.metric
 from malg import (
@@ -23,9 +18,9 @@ from malg import (
     mu_bar,
 )
 from malg.cli import main
-from malg.formats import dumps_canonical, map_to_obj, space_to_obj
+from malg.formats import MAX_METRIC_POINTS, dumps_canonical, map_to_obj, space_to_obj
 
-from helpers import drop_lowest_image_atom
+from helpers import drop_lowest_image_atom, python_child_output
 
 
 @pytest.fixture
@@ -129,6 +124,30 @@ def test_malformed_document_exits_2(capsys, phi, tmp_path, kind, error, command)
     entry = results["files"][0] if command == "validate" else results
     assert entry["error"] == error
     assert entry["file"] == str(path)
+
+
+@pytest.mark.parametrize("command", ["validate", "classify", "theorem-check"])
+def test_metric_document_over_cap_exits_2(capsys, tmp_path, command):
+    # one point over the cap, and a metric: every distance is 1
+    n = MAX_METRIC_POINTS + 1
+    points = [f"p{i}" for i in range(n)]
+    source = {
+        "points": points,
+        "atoms": [[p] for p in points],
+        "weights": ["1"] * n,
+        "dist": ["1"] * (n * (n - 1) // 2),
+    }
+    target = {"points": ["q"], "atoms": [["q"]], "weights": ["1"]}
+    doc = {"source": source, "target": target, "fn": dict.fromkeys(points, "q")}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    code, report = run_cli(capsys, [command, str(path)])
+    assert code == 2 and report["exit_code"] == 2
+    results = report["results"]
+    entry = results["files"][0] if command == "validate" else results
+    assert entry["error"] == "InvalidDocument"
+    assert entry["file"] == str(path)
+    assert f"at most {MAX_METRIC_POINTS} points, got {n}" in entry["detail"]
 
 
 def test_result_too_long_to_print_exits_2(capsys, tmp_path):
@@ -338,7 +357,9 @@ def test_functor_check_linear_in_atoms(tmp_path):
     path = tmp_path / "id26.json"
     path.write_text(dumps_canonical(map_to_obj(identity_map(space))))
     start = time.perf_counter()
-    out = _fresh_process_output(["functor-check", str(path), str(path)], timeout=20)
+    out = python_child_output(
+        ["-m", "malg", "functor-check", str(path), str(path)], timeout=20
+    )
     elapsed = time.perf_counter() - start
     report = json.loads(out)
     assert report["exit_code"] == 0 and report["violations"] == []
@@ -354,23 +375,8 @@ def test_text_format(capsys, phi_file):
     assert "violations: none" in out
 
 
-def _fresh_process_output(argv, timeout=None) -> bytes:
-    """stdout of `python -m malg` in a child that imports the malg under
-    test, installed or not."""
-    src = str(Path(malg.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "malg", *argv],
-        capture_output=True,
-        env={**os.environ, "PYTHONPATH": path},
-        timeout=timeout,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
-
-
 def test_module_entry_point(phi_file):
-    report = json.loads(_fresh_process_output(["classify", phi_file]))
+    report = json.loads(python_child_output(["-m", "malg", "classify", phi_file]))
     assert report["results"]["classification"]["compression"] == "5/6"
 
 
@@ -459,4 +465,4 @@ def test_parser_reused_across_calls(capsysbinary, s1, phi_file, tmp_path):
     call(["theorem-check", "--trials", "5", "--seed", "7"])
     assert cli.build_parser.cache_info().misses == 1
     for argv, out in reports:
-        assert out == _fresh_process_output(argv), argv
+        assert out == python_child_output(["-m", "malg", *argv]), argv

@@ -1,8 +1,11 @@
 """Metric layer: Lipschitz constants, classification, functor laws."""
 
+import json
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from malg import (
     UNBOUNDED,
@@ -14,6 +17,7 @@ from malg import (
     NonPositiveFactor,
     NotInverseNilPreserving,
     SpaceMismatch,
+    UnknownPoint,
     classify,
     compose,
     compression,
@@ -29,13 +33,20 @@ from malg import (
     rescale_space,
 )
 import malg.metric
+from malg.formats import MAX_METRIC_POINTS
 from malg.metric import (
     FiniteMetricMeasureSpace,
     composition_law_violations,
     identity_law_violations,
 )
 
-from helpers import drop_lowest_image_atom, oracle_compression
+from helpers import (
+    drop_lowest_image_atom,
+    fraction_metric_check,
+    oracle_compression,
+    primes_from,
+    python_child_output,
+)
 
 
 def three_point_metric():
@@ -82,6 +93,163 @@ def test_make_metric_space_uses_singleton_atoms():
     mm = three_point_metric()
     assert mm.base.atoms == (("a",), ("b",), ("c",))
     assert mm.distance("a", "c") == Fraction(2)
+
+
+def test_distance_unknown_point():
+    mm = three_point_metric()
+    with pytest.raises(UnknownPoint, match="'z'"):
+        mm.distance("a", "z")
+    with pytest.raises(UnknownPoint, match="'z'"):
+        mm.distance("z", "a")
+
+
+def _verdict(check, points, table):
+    """None if `check` accepts the table, else its error type and message."""
+    try:
+        check(points, table)
+    except MetricAxiomViolation as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+def _integer_check(points, table):
+    make_metric_space(points, [1] * len(points), table)
+
+
+def _assert_same_verdict(table):
+    """The integer check and the Fraction reference agree; returns the verdict."""
+    points = [f"x{i}" for i in range(len(table))]
+    expected = _verdict(fraction_metric_check, points, table)
+    assert _verdict(_integer_check, points, table) == expected, table
+    return expected
+
+
+# small and large denominators, so that cross-multiplied terms differ in size
+_DENOMINATORS = (1, 1, 2, 3, 7, 16, 97, 10**9 + 7, 2**61 - 1)
+
+
+def _random_fraction(rng, top: int) -> Fraction:
+    q = rng.choice(_DENOMINATORS)
+    return Fraction(rng.randrange(top * q + 1), q)
+
+
+def _random_table(rng) -> list[list[Fraction]]:
+    """A table on 1-8 points: a line metric (every triangle may be tight),
+    a band of distances in [1, 2] (always a metric) or free entries (often
+    not), then sometimes one entry nudged by a tiny amount, zeroed, made
+    asymmetric or put on the diagonal."""
+    n = rng.randint(1, 8)
+    shape = rng.choice(("line", "band", "free"))
+    if shape == "line":
+        xs = [_random_fraction(rng, 6) for _ in range(n)]
+        table = [[abs(x - y) for y in xs] for x in xs]
+    else:
+        table = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                v = _random_fraction(rng, 1 if shape == "band" else 4)
+                table[i][j] = table[j][i] = 1 + v if shape == "band" else v
+    i, j = rng.randrange(n), rng.randrange(n)
+    nudge = Fraction(rng.choice((-1, 1)), rng.choice(_DENOMINATORS[3:]) ** 2)
+    defect = rng.choice(("none", "none", "nudge", "nudge", "zero", "asym", "diag"))
+    if defect == "nudge" and i != j:
+        table[i][j] = table[j][i] = table[i][j] + nudge
+    elif defect == "zero" and i != j:
+        table[i][j] = table[j][i] = Fraction(0)
+    elif defect == "asym" and i != j:
+        # p / (q + p) is in lowest terms and keeps the numerator of p / q
+        p, q = table[i][j].numerator, table[i][j].denominator
+        table[i][j] = rng.choice((table[i][j] + nudge, Fraction(p, q + p)))
+    elif defect == "diag":
+        table[i][i] = nudge
+    return table
+
+
+def _verdict_kind(verdict) -> str:
+    if verdict is None:
+        return "accepted"
+    for kind in ("triangle", "symmetric", "positive", "!= 0"):
+        if kind in verdict[1]:
+            return kind
+    return verdict[1]
+
+
+def test_integer_axiom_check_matches_fraction_reference():
+    rng = random.Random(2024)
+    kinds = ("accepted", "triangle", "symmetric", "positive", "!= 0")
+    seen = dict.fromkeys(kinds, 0)
+    for _ in range(3000):
+        seen[_verdict_kind(_assert_same_verdict(_random_table(rng)))] += 1
+    # every verdict occurs often enough for the comparison to mean something
+    assert min(seen.values()) >= 100, seen
+
+
+@st.composite
+def _tables(draw):
+    n = draw(st.integers(1, 6))
+    entry = st.fractions(min_value=0, max_value=3, max_denominator=12) | (
+        st.sampled_from(_DENOMINATORS).map(lambda q: 1 + Fraction(q // 2, q))
+    )
+    table = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            table[i][j] = table[j][i] = draw(entry)
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        table[i][j] = draw(entry)
+    return table
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_tables())
+def test_integer_axiom_check_matches_fraction_reference_hypothesis(table):
+    _assert_same_verdict(table)
+
+
+def _metric_build_seconds(tmp_path, n, entries, timeout) -> float:
+    """Seconds a child process spends in `obj_to_metric_space` on an
+    n-point metric document with the given upper-triangle entries."""
+    points = [f"p{i}" for i in range(n)]
+    doc = {
+        "points": points,
+        "atoms": [[p] for p in points],
+        "weights": ["1"] * n,
+        "dist": [str(v) for v in entries],
+    }
+    path = tmp_path / "metric.json"
+    path.write_text(json.dumps(doc))
+    script = (
+        "import json, sys, time\n"
+        "from malg.formats import obj_to_metric_space\n"
+        "obj = json.loads(open(sys.argv[1]).read())\n"
+        "start = time.perf_counter()\n"
+        "obj_to_metric_space(obj)\n"
+        "print(time.perf_counter() - start)\n"
+    )
+    return float(python_child_output(["-c", script, str(path)], timeout=timeout))
+
+
+def test_metric_document_at_cap_is_bounded(tmp_path):
+    # every distance in [1, 2] with denominator 16: a metric, so every
+    # triple is compared; the Fraction check took 11.6 s (Python 3.11,
+    # 2-core x86) where this one takes under 1 s
+    rng = random.Random(5)
+    n = MAX_METRIC_POINTS
+    entries = [1 + Fraction(rng.randint(0, 16), 16) for _ in range(n * (n - 1) // 2)]
+    assert _metric_build_seconds(tmp_path, n, entries, timeout=60) < 4
+
+
+def test_metric_triangle_cost_follows_the_three_entries(tmp_path):
+    # a distinct 10-digit prime denominator per entry: one common
+    # denominator of every entry would have 31,600 digits, and each
+    # comparison would pay for all of them
+    rng = random.Random(6)
+    n = 80
+    entries = [
+        Fraction(p + rng.randrange(1, p), p)
+        for p in primes_from(10**9, n * (n - 1) // 2)
+    ]
+    assert _metric_build_seconds(tmp_path, n, entries, timeout=60) < 0.6
 
 
 def test_lipschitz_point_constant_is_zero(s3_metric, s2_metric):
