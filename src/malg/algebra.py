@@ -13,6 +13,7 @@ functions (:func:`chi_embed` / :func:`l1_distance`).
 
 from __future__ import annotations
 
+import weakref
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -26,7 +27,9 @@ from .spaces import (
 class MeasureAlgebra:
     """Boolean algebra of measurable sets modulo null sets."""
 
-    __slots__ = ("space", "nonnull_atoms", "fin_atoms", "_top", "_fin")
+    __slots__ = (
+        "space", "nonnull_atoms", "fin_atoms", "_top", "_fin", "__weakref__",
+    )
 
     nonnull_atoms: tuple[int, ...]
     fin_atoms: tuple[int, ...]
@@ -66,6 +69,8 @@ class MeasureAlgebra:
         return [AlgebraElement(self, mask) for mask in ordered]
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, MeasureAlgebra):
             return NotImplemented
         return self.space == other.space
@@ -168,7 +173,18 @@ class L1Function:
 
 
 def build_algebra(space: FiniteMeasureSpace) -> MeasureAlgebra:
-    return MeasureAlgebra(space)
+    """The space's one measure algebra: built on the first call and
+    returned by every later one while anything still holds it.
+
+    The space keeps only a weak reference to it, so space and algebra
+    form no reference cycle and are freed by reference counting.
+    """
+    ref = space._algebra
+    algebra = None if ref is None else ref()
+    if algebra is None:
+        algebra = MeasureAlgebra(space)
+        space._algebra = weakref.ref(algebra)
+    return algebra
 
 
 def project(algebra: MeasureAlgebra, mset: MeasurableSet) -> AlgebraElement:

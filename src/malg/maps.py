@@ -288,7 +288,11 @@ class CompressionResult:
 
     @classmethod
     def bounded(cls, value) -> "CompressionResult":
-        return cls(to_fraction(value))
+        """A finite constant; a negative value raises ValueError."""
+        frac = to_fraction(value)
+        if frac < 0:
+            raise ValueError(f"a compression constant is never negative, got {frac}")
+        return cls(frac)
 
     @property
     def is_bounded(self) -> bool:

@@ -255,9 +255,10 @@ def contravariance_check(f: MeasurableMap, g: MeasurableMap) -> LawReport:
     for name, m in (("f", f), ("g", g), ("g after f", gf)):
         if not is_inverse_nil_preserving(m):
             raise NotInverseNilPreserving(f"{name} is not inverse-nil-preserving")
-    violations = composition_law_violations(
-        induced_homomorphism(gf), induced_homomorphism(f), induced_homomorphism(g)
-    )
+    # the homs hold the three spaces' algebras, which build_algebra then
+    # returns to the identity checks instead of building them again
+    homs = induced_homomorphism(gf), induced_homomorphism(f), induced_homomorphism(g)
+    violations = composition_law_violations(*homs)
     for space in (f.source, f.target, g.target):
         violations.extend(identity_law_violations(space))
     return LawReport(tuple(violations))

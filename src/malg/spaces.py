@@ -72,7 +72,13 @@ def _weighted_sum(weights: Sequence[ExtRational], mask: int) -> ExtRational:
 class FiniteMeasureSpace:
     """Immutable finite measure space; build with :func:`make_space`."""
 
-    __slots__ = ("points", "atoms", "weights", "_atom_of", "_hash")
+    # _null and _nonnull hold the atom ids, computed on first read, and
+    # _algebra a weak reference to the space's measure algebra (see
+    # algebra.build_algebra); none takes part in == or hash
+    __slots__ = (
+        "points", "atoms", "weights", "_atom_of", "_hash",
+        "_null", "_nonnull", "_algebra",
+    )
 
     points: tuple[str, ...]
     atoms: tuple[tuple[str, ...], ...]
@@ -116,6 +122,7 @@ class FiniteMeasureSpace:
             p: idx for idx, block in enumerate(self.atoms) for p in block
         }
         self._hash = hash((self.points, self.atoms, self.weights))
+        self._null = self._nonnull = self._algebra = None
 
     @property
     def n_atoms(self) -> int:
@@ -138,11 +145,17 @@ class FiniteMeasureSpace:
 
     @property
     def null_atom_ids(self) -> tuple[int, ...]:
-        return tuple(i for i, w in enumerate(self.weights) if w.is_zero)
+        if self._null is None:
+            self._null = tuple(i for i, w in enumerate(self.weights) if w.is_zero)
+        return self._null
 
     @property
     def nonnull_atom_ids(self) -> tuple[int, ...]:
-        return tuple(i for i, w in enumerate(self.weights) if not w.is_zero)
+        if self._nonnull is None:
+            self._nonnull = tuple(
+                i for i, w in enumerate(self.weights) if not w.is_zero
+            )
+        return self._nonnull
 
     def empty_set(self) -> "MeasurableSet":
         return MeasurableSet(self, 0)

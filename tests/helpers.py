@@ -157,9 +157,9 @@ def primes_from(start: int, count: int) -> list[int]:
     return found[:count]
 
 
-def python_child_output(args, timeout=None) -> bytes:
+def python_child_output(args, timeout=None, exit_code=0) -> bytes:
     """stdout of `python *args` in a child that imports the malg under
-    test, installed or not; the child must exit 0."""
+    test, installed or not; the child must exit with `exit_code`."""
     src = str(Path(malg.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -168,5 +168,5 @@ def python_child_output(args, timeout=None) -> bytes:
         env={**os.environ, "PYTHONPATH": path},
         timeout=timeout,
     )
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == exit_code, proc.stderr
     return proc.stdout

@@ -1,5 +1,7 @@
 """Measure algebras: projection, mu-bar, rho, the L1 embedding."""
 
+import gc
+import weakref
 from fractions import Fraction
 from itertools import product
 
@@ -13,6 +15,7 @@ from malg import (
     ForeignFunction,
     L1Function,
     MeasurableSet,
+    MeasureAlgebra,
     NotInFinIdeal,
     build_algebra,
     chi_embed,
@@ -21,6 +24,7 @@ from malg import (
     make_space,
     mu_bar,
     project,
+    random_instance,
     rho,
     rho_c,
 )
@@ -33,6 +37,46 @@ def test_build_algebra_sizes(s1, s2):
     assert a1.nonnull_atoms == (0, 1)
     assert a1.size == 4
     assert build_algebra(s2).size == 4
+
+
+def test_build_algebra_returns_the_spaces_one_algebra(s1):
+    alg = build_algebra(s1)
+    assert build_algebra(s1) is alg
+    twin = make_space(s1.points, s1.atoms, s1.weights)
+    # an equal space has its own algebra, equal to the first one
+    assert build_algebra(twin) is not alg
+    assert build_algebra(twin) == alg and hash(twin) == hash(s1)
+    assert twin == s1
+
+
+def test_dropped_algebra_is_freed_by_reference_counting(s1):
+    # the space holds its algebra weakly: no cycle, so dropping the last
+    # holder frees the algebra with the cyclic collector off
+    gc.disable()
+    try:
+        ref = weakref.ref(build_algebra(s1))
+        assert ref() is None
+        assert build_algebra(s1) == MeasureAlgebra(s1)
+    finally:
+        gc.enable()
+
+
+def test_cached_atom_ids_match_the_weights():
+    maps = [random_instance(3, i) for i in range(40)]
+    spaces = [sp for phi in maps for sp in (phi.source, phi.target)]
+    spaces += [
+        make_space(["z1", "z2"], [["z1"], ["z2"]], [0, 0]),
+        make_space(["i1", "i2"], [["i1"], ["i2"]], [INF, INF]),
+        make_space(["a", "b", "c", "d"], [["a"], ["b"], ["c"], ["d"]], [0, INF, 2, 0]),
+    ]
+    for sp in spaces:
+        null = tuple(i for i, w in enumerate(sp.weights) if w == 0)
+        nonnull = tuple(i for i, w in enumerate(sp.weights) if w != 0)
+        for _ in range(2):
+            assert sp.null_atom_ids == null
+            assert sp.nonnull_atom_ids == nonnull
+        assert build_algebra(sp).nonnull_atoms == nonnull
+    assert any(sp.null_atom_ids for sp in spaces[:-3])
 
 
 def test_trivial_algebra_of_all_null_space():

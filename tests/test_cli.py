@@ -1,6 +1,7 @@
 """CLI: exit codes, report shapes, determinism."""
 
 import json
+import random
 import time
 
 import pytest
@@ -18,7 +19,13 @@ from malg import (
     mu_bar,
 )
 from malg.cli import main
-from malg.formats import MAX_METRIC_POINTS, dumps_canonical, map_to_obj, space_to_obj
+from malg.formats import (
+    MAX_DISTANCE_DIGITS,
+    MAX_METRIC_POINTS,
+    dumps_canonical,
+    map_to_obj,
+    space_to_obj,
+)
 
 from helpers import drop_lowest_image_atom, python_child_output
 
@@ -148,6 +155,36 @@ def test_metric_document_over_cap_exits_2(capsys, tmp_path, command):
     assert entry["error"] == "InvalidDocument"
     assert entry["file"] == str(path)
     assert f"at most {MAX_METRIC_POINTS} points, got {n}" in entry["detail"]
+
+
+def test_metric_document_with_long_distances_exits_2(tmp_path):
+    # 30 points, every distance (q + r)/q in [1, 2) with q of 4,299 digits:
+    # a metric, whose triangle check took about 14 s before the digit cap
+    rng = random.Random(8)
+    n = 30
+    low = 10**4298
+    dist = []
+    for _ in range(n * (n - 1) // 2):
+        q = rng.randrange(low, 4 * low)
+        dist.append(f"{q + rng.randrange(q)}/{q}")
+    points = [f"p{i}" for i in range(n)]
+    doc = {
+        "points": points,
+        "atoms": [[p] for p in points],
+        "weights": ["1"] * n,
+        "dist": dist,
+    }
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    out = python_child_output(
+        ["-m", "malg", "validate", str(path)], timeout=60, exit_code=2
+    )
+    elapsed = time.perf_counter() - start
+    entry = json.loads(out)["results"]["files"][0]
+    assert entry["error"] == "InvalidDocument"
+    assert f"over {MAX_DISTANCE_DIGITS} digits" in entry["detail"]
+    assert elapsed < 2, elapsed
 
 
 def test_result_too_long_to_print_exits_2(capsys, tmp_path):

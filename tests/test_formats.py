@@ -14,9 +14,11 @@ from malg import (
     make_metric_space,
     make_space,
     random_instance,
+    rescale_space,
 )
 from malg.cli import _text
 from malg.formats import (
+    MAX_DISTANCE_DIGITS,
     dumps_canonical,
     map_to_obj,
     metric_space_to_obj,
@@ -92,6 +94,36 @@ def test_metric_dist_arity_checked():
     obj["dist"] = ["1", "2"]
     with pytest.raises(ArityMismatch):
         obj_to_metric_space(obj)
+
+
+def test_metric_distance_digits_capped():
+    obj = metric_space_to_obj(
+        make_metric_space(["a", "b"], [1, 1], [[0, 1], [1, 0]])
+    )
+    for at_cap in ("9" * MAX_DISTANCE_DIGITS, "1/" + "9" * MAX_DISTANCE_DIGITS):
+        obj["dist"] = [at_cap]
+        assert obj_to_metric_space(obj).dist[0][1] == Fraction(at_cap)
+    ten = "1" + "0" * MAX_DISTANCE_DIGITS
+    message = rf"dist\[0\]: .* {MAX_DISTANCE_DIGITS} digits"
+    for over in (ten, "1/" + ten, f"1e-{MAX_DISTANCE_DIGITS}"):
+        obj["dist"] = [over]
+        with pytest.raises(InvalidDocument, match=message):
+            obj_to_metric_space(obj)
+
+
+def test_metric_writer_keeps_the_digit_cap():
+    # a space the library builds may exceed the cap; writing it is refused,
+    # so every metric document malg writes reads back
+    mm = make_metric_space(["a", "b", "c"], [1, 1, 1], [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+    at_cap = rescale_space(mm, "1/" + "9" * MAX_DISTANCE_DIGITS)
+    assert obj_to_metric_space(metric_space_to_obj(at_cap)).dist == at_cap.dist
+    over = rescale_space(mm, "1/1" + "0" * MAX_DISTANCE_DIGITS)
+    with pytest.raises(InvalidDocument, match=rf"dist\[0\]: .* {MAX_DISTANCE_DIGITS} digits"):
+        metric_space_to_obj(over)
+    # d(a, b) * 5e17 has 18 digits, d(a, c) * 5e17 = 1e18 has 19
+    longer = rescale_space(mm, "5" + "0" * (MAX_DISTANCE_DIGITS - 1))
+    with pytest.raises(InvalidDocument, match=r"dist\[1\]: "):
+        metric_space_to_obj(longer)
 
 
 def test_parse_space_document_detects_metric():

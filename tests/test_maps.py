@@ -156,6 +156,14 @@ def test_compression_worked_example(phi):
         CompressionResult.bounded(5 / 6)
 
 
+def test_bounded_rejects_negative_values():
+    for value in (-3, Fraction(-1, 2), "-1"):
+        with pytest.raises(ValueError, match="never negative"):
+            CompressionResult.bounded(value)
+    assert str(CompressionResult.bounded(0)) == "0"
+    assert CompressionResult.bounded("1/2").times(CompressionResult.bounded(4)).value == 2
+
+
 def test_compression_constant_maps(s3_to_q1, s3):
     assert compression(s3_to_q1) == CompressionResult.bounded(3)
     null_target = make_space(["q1", "q2"], [["q1"], ["q2"]], [0, 2])

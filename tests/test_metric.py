@@ -13,6 +13,7 @@ from malg import (
     BooleanHom,
     CompressionResult,
     InvalidRational,
+    MeasureAlgebra,
     MetricAxiomViolation,
     NonPositiveFactor,
     NotInverseNilPreserving,
@@ -33,7 +34,7 @@ from malg import (
     rescale_space,
 )
 import malg.metric
-from malg.formats import MAX_METRIC_POINTS
+from malg.formats import MAX_DISTANCE_DIGITS, MAX_METRIC_POINTS
 from malg.metric import (
     FiniteMetricMeasureSpace,
     composition_law_violations,
@@ -239,6 +240,23 @@ def test_metric_document_at_cap_is_bounded(tmp_path):
     assert _metric_build_seconds(tmp_path, n, entries, timeout=60) < 4
 
 
+def test_metric_document_at_digit_cap_is_bounded(tmp_path):
+    # the longest distances a document may hold, every entry (q + r)/q in
+    # [1, 2) with q of MAX_DISTANCE_DIGITS digits, on half the points cap:
+    # an eighth of its triples, about 0.3 s (2-core x86, Python 3.11.7),
+    # where all 200 points take about 2.2 s
+    rng = random.Random(7)
+    n = MAX_METRIC_POINTS // 2
+    low = 10 ** (MAX_DISTANCE_DIGITS - 1)
+    entries = []
+    for _ in range(n * (n - 1) // 2):
+        q = rng.randrange(low, 4 * low)
+        entries.append(Fraction(q + rng.randrange(q), q))
+    longest = max(len(str(v.denominator)) for v in entries)
+    assert longest == MAX_DISTANCE_DIGITS
+    assert _metric_build_seconds(tmp_path, n, entries, timeout=60) < 2
+
+
 def test_metric_triangle_cost_follows_the_three_entries(tmp_path):
     # a distinct 10-digit prime denominator per entry: one common
     # denominator of every entry would have 31,600 digits, and each
@@ -392,6 +410,30 @@ def test_contravariance_random_pairs():
             continue
         assert report.ok, index
         checked += 1
+
+
+def test_contravariance_builds_one_algebra_per_space(monkeypatch):
+    built = []
+    original = MeasureAlgebra.__init__
+
+    def counting_init(self, space):
+        built.append(space)
+        original(self, space)
+
+    monkeypatch.setattr(MeasureAlgebra, "__init__", counting_init)
+    checked = 0
+    for index in range(40):
+        f, g = random_composable_pair(22, index)
+        built.clear()
+        try:
+            report = contravariance_check(f, g)
+        except NotInverseNilPreserving:
+            continue
+        assert report.ok
+        assert len(built) == 3, index
+        assert {id(sp) for sp in built} == {id(f.source), id(f.target), id(g.target)}
+        checked += 1
+    assert checked >= 10
 
 
 def test_corrupted_hom_fails_contravariance(phi, s2):
