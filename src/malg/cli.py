@@ -6,9 +6,11 @@ classification; `theorem-check` runs the three compression computations
 and demands exact agreement; `functor-check` certifies contravariance
 and compression submultiplicativity for a composable pair.
 
-Reports are deterministic: identical inputs and flags give byte-identical
-output. Exit codes: 0 clean, 1 law violation, 2 input error, 3 budget
-exceeded.
+Each handler loads its own documents through a `_Loader` and returns
+`(results, violations, exit_code)`; `main` alone turns that, or an input
+error, into the report envelope and renders it. Reports are
+deterministic: identical inputs and flags give byte-identical output.
+Exit codes: 0 clean, 1 law violation, 2 input error, 3 budget exceeded.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ import argparse
 import functools
 import hashlib
 import json
+import stat
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -51,24 +53,6 @@ from .metric import (
 DEFAULT_BUDGET = 12
 
 
-@dataclass
-class RunReport:
-    command: str
-    inputs: dict = field(default_factory=dict)
-    results: object = None
-    violations: list = field(default_factory=list)
-    exit_code: int = 0
-
-    def to_obj(self) -> dict:
-        return {
-            "command": self.command,
-            "inputs": self.inputs,
-            "results": self.results,
-            "violations": self.violations,
-            "exit_code": self.exit_code,
-        }
-
-
 class _Loader:
     """Reads JSON files, remembering a digest of every file touched."""
 
@@ -76,8 +60,16 @@ class _Loader:
         self.digests: dict[str, str] = {}
 
     def read_obj(self, path: str):
+        file = Path(path)
         try:
-            data = Path(path).read_bytes()
+            mode = file.stat().st_mode
+        except (OSError, ValueError):  # missing, or a NUL: read_bytes says which
+            mode = stat.S_IFREG
+        if not (stat.S_ISREG(mode) or stat.S_ISDIR(mode)):
+            # a FIFO, socket or device: reading it may block or never end
+            raise InvalidDocument(f"not a regular file: {path}")
+        try:
+            data = file.read_bytes()
         except ValueError as exc:  # a path no file can have, e.g. with a NUL
             raise InvalidDocument(f"bad path {path!r}: {exc}") from None
         self.digests[path] = hashlib.sha256(data).hexdigest()
@@ -100,16 +92,6 @@ def _error_entry(path: Optional[str], exc: Exception) -> dict:
     if path is not None:
         entry["file"] = path
     return entry
-
-
-def _input_error(args, loader: _Loader, exc: Exception) -> RunReport:
-    # functor-check reads two maps, so its entry names no file
-    return RunReport(
-        command=args.command,
-        inputs=loader.digests,
-        results=_error_entry(getattr(args, "map", None), exc),
-        exit_code=2,
-    )
 
 
 def _text(value) -> str:
@@ -135,7 +117,7 @@ def _space_entry(parsed) -> dict:
     }
 
 
-def cmd_validate(args, loader: _Loader) -> RunReport:
+def cmd_validate(args, loader: _Loader) -> tuple[dict, list, int]:
     entries = []
     failed = False
     for path in args.paths:
@@ -152,12 +134,7 @@ def cmd_validate(args, loader: _Loader) -> RunReport:
         except (MalgError, OSError) as exc:
             failed = True
             entries.append(_error_entry(path, exc))
-    return RunReport(
-        command="validate",
-        inputs=loader.digests,
-        results={"files": entries},
-        exit_code=2 if failed else 0,
-    )
+    return {"files": entries}, [], 2 if failed else 0
 
 
 def _classification_obj(mc: MorphismClassification) -> dict:
@@ -177,20 +154,17 @@ def _classification_obj(mc: MorphismClassification) -> dict:
     return out
 
 
-def cmd_classify(args, loader: _Loader, loaded) -> RunReport:
-    phi, source_metric, target_metric = loaded
+def cmd_classify(args, loader: _Loader) -> tuple[dict, list, int]:
+    phi, source_metric, target_metric = loader.load_map(args.map)
     mc = classify(phi, source_metric, target_metric)
-    return RunReport(
-        command="classify",
-        inputs=loader.digests,
-        results={
-            "classification": _classification_obj(mc),
-            "sigma_finite": {
-                "source": phi.source.is_sigma_finite,
-                "target": phi.target.is_sigma_finite,
-            },
+    results = {
+        "classification": _classification_obj(mc),
+        "sigma_finite": {
+            "source": phi.source.is_sigma_finite,
+            "target": phi.target.is_sigma_finite,
         },
-    )
+    }
+    return results, [], 0
 
 
 def _theorem_record(index: int, phi: MeasurableMap, budget: int) -> dict:
@@ -215,30 +189,20 @@ def _theorem_record(index: int, phi: MeasurableMap, budget: int) -> dict:
     }
 
 
-def cmd_theorem_check(args, loader: _Loader, *loaded) -> RunReport:
-    budget = args.budget
-    if loaded:
-        instances = [(0, loaded[0][0])]
+def cmd_theorem_check(args, loader: _Loader) -> tuple[dict, list, int]:
+    if args.map is not None:
+        instances = [(0, loader.load_map(args.map)[0])]
     else:  # drawn one at a time, so memory does not grow with --trials
         instances = ((i, random_instance(args.seed, i)) for i in range(args.trials))
 
+    head = {"seed": args.seed, "trials": args.trials, "budget": args.budget}
     records = []
     violations = []
     for index, phi in instances:
         try:
-            record = _theorem_record(index, phi, budget)
+            record = _theorem_record(index, phi, args.budget)
         except BudgetExceeded as exc:
-            return RunReport(
-                command="theorem-check",
-                inputs=loader.digests,
-                results={
-                    "seed": args.seed,
-                    "trials": args.trials,
-                    "budget": budget,
-                    "error": _error_entry(None, exc),
-                },
-                exit_code=3,
-            )
+            return {**head, "error": _error_entry(None, exc)}, [], 3
         records.append(record)
         if not record["agree"]:
             violations.append(
@@ -254,24 +218,17 @@ def cmd_theorem_check(args, loader: _Loader, *loaded) -> RunReport:
                 }
             )
     results = {
-        "seed": args.seed,
-        "trials": args.trials,
-        "budget": budget,
+        **head,
         "checked": len(records),
         "agreements": sum(1 for r in records if r["agree"]),
         "instances": records,
     }
-    return RunReport(
-        command="theorem-check",
-        inputs=loader.digests,
-        results=results,
-        violations=violations,
-        exit_code=1 if violations else 0,
-    )
+    return results, violations, 1 if violations else 0
 
 
-def cmd_functor_check(args, loader: _Loader, f_loaded, g_loaded) -> RunReport:
-    f, g = f_loaded[0], g_loaded[0]
+def cmd_functor_check(args, loader: _Loader) -> tuple[dict, list, int]:
+    f = loader.load_map(args.f)[0]
+    g = loader.load_map(args.g)[0]
     report = contravariance_check(f, g)  # an unfit pair raises: exit 2 in main
     submult = compression_submultiplicativity(f, g)
     violations = [
@@ -286,29 +243,25 @@ def cmd_functor_check(args, loader: _Loader, f_loaded, g_loaded) -> RunReport:
         violations.append(
             {"law": "compression-submultiplicativity", "witness": dict(compressions)}
         )
-    return RunReport(
-        command="functor-check",
-        inputs=loader.digests,
-        results={**compressions, "submultiplicative": submult},
-        violations=violations,
-        exit_code=1 if violations else 0,
-    )
+    results = {**compressions, "submultiplicative": submult}
+    return results, violations, 1 if violations else 0
 
 
-def render(report: RunReport, fmt: str) -> str:
+def render(report: dict, fmt: str) -> str:
     if fmt == "json":
-        return dumps_canonical(report.to_obj())
-    lines = [f"command: {report.command}", f"exit_code: {report.exit_code}"]
-    for path, digest in report.inputs.items():
+        return dumps_canonical(report)
+    lines = [f"command: {report['command']}", f"exit_code: {report['exit_code']}"]
+    for path, digest in report["inputs"].items():
         lines.append(f"input: {path} sha256={digest}")
-    if report.violations:
-        lines.append(f"violations: {len(report.violations)}")
-        for v in report.violations:
+    violations = report["violations"]
+    if violations:
+        lines.append(f"violations: {len(violations)}")
+        for v in violations:
             lines.append(f"  - {v['law']}: {json.dumps(v['witness'])}")
     else:
         lines.append("violations: none")
     lines.append("results:")
-    lines.append(json.dumps(report.results, indent=2))
+    lines.append(json.dumps(report["results"], indent=2))
     return "\n".join(lines) + "\n"
 
 
@@ -330,12 +283,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_validate = sub.add_parser("validate", help="parse and validate documents")
     p_validate.add_argument("paths", nargs="+")
     add_common(p_validate)
-    p_validate.set_defaults(handler=cmd_validate, map_args=())
+    p_validate.set_defaults(handler=cmd_validate)
 
     p_classify = sub.add_parser("classify", help="classify one map document")
     p_classify.add_argument("map")
     add_common(p_classify)
-    p_classify.set_defaults(handler=cmd_classify, map_args=("map",))
+    p_classify.set_defaults(handler=cmd_classify)
 
     p_theorem = sub.add_parser(
         "theorem-check",
@@ -346,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_theorem.add_argument("--seed", type=int, default=0)
     p_theorem.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     add_common(p_theorem)
-    p_theorem.set_defaults(handler=cmd_theorem_check, map_args=("map",))
+    p_theorem.set_defaults(handler=cmd_theorem_check)
 
     p_functor = sub.add_parser(
         "functor-check", help="contravariance and submultiplicativity for a pair"
@@ -354,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_functor.add_argument("f")
     p_functor.add_argument("g")
     add_common(p_functor)
-    p_functor.set_defaults(handler=cmd_functor_check, map_args=("f", "g"))
+    p_functor.set_defaults(handler=cmd_functor_check)
 
     return parser
 
@@ -368,12 +321,19 @@ def main(argv=None) -> int:
         if args.budget < 0:
             parser.error("--budget must be 0 or more")
     loader = _Loader()
-    paths = [getattr(args, name) for name in args.map_args]
     try:
-        loaded = [loader.load_map(path) for path in paths if path is not None]
-        report = args.handler(args, loader, *loaded)
+        results, violations, exit_code = args.handler(args, loader)
     except (MalgError, OSError) as exc:  # the one path from bad input to exit 2
-        report = _input_error(args, loader, exc)
+        # functor-check reads two maps, so its entry names no file
+        error = _error_entry(getattr(args, "map", None), exc)
+        results, violations, exit_code = error, [], 2
+    report = {
+        "command": args.command,
+        "inputs": loader.digests,
+        "results": results,
+        "violations": violations,
+        "exit_code": exit_code,
+    }
     text = render(report, args.format)
     if args.output:
         try:
@@ -384,7 +344,7 @@ def main(argv=None) -> int:
             return 2
     else:
         sys.stdout.write(text)
-    return report.exit_code
+    return exit_code
 
 
 if __name__ == "__main__":

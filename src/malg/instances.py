@@ -63,7 +63,6 @@ def random_space(
     prefix: str = "p",
     max_atoms: int = 8,
     force_null: bool = False,
-    allow_infinite: bool = True,
 ) -> FiniteMeasureSpace:
     """One random space; `force_null` guarantees at least one null atom."""
     n_atoms = 1 + rng.below(max_atoms)
@@ -78,7 +77,7 @@ def random_space(
 
     weights: list[ExtRational] = []
     for _ in range(n_atoms):
-        if allow_infinite and rng.chance(1, 20):
+        if rng.chance(1, 20):
             weights.append(ExtRational.infinity())
         elif rng.chance(1, 10):
             weights.append(ExtRational(0))

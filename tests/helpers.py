@@ -157,16 +157,24 @@ def primes_from(start: int, count: int) -> list[int]:
     return found[:count]
 
 
-def python_child_output(args, timeout=None, exit_code=0) -> bytes:
+def python_child_output(args, timeout=None, exit_code=0, max_memory=None) -> bytes:
     """stdout of `python *args` in a child that imports the malg under
-    test, installed or not; the child must exit with `exit_code`."""
+    test, installed or not; the child must exit with `exit_code`.
+    `max_memory` caps the child's address space, in bytes (POSIX only)."""
     src = str(Path(malg.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+    def limit_memory():
+        import resource
+
+        resource.setrlimit(resource.RLIMIT_AS, (max_memory, max_memory))
+
     proc = subprocess.run(
         [sys.executable, *args],
         capture_output=True,
         env={**os.environ, "PYTHONPATH": path},
         timeout=timeout,
+        preexec_fn=limit_memory if max_memory else None,
     )
     assert proc.returncode == exit_code, proc.stderr
     return proc.stdout

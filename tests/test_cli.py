@@ -1,6 +1,8 @@
 """CLI: exit codes, report shapes, determinism."""
 
+import hashlib
 import json
+import os
 import random
 import time
 
@@ -205,6 +207,39 @@ def test_result_too_long_to_print_exits_2(capsys, tmp_path):
 def test_validate_missing_file(capsys, tmp_path):
     code, report = run_cli(capsys, ["validate", str(tmp_path / "nope.json")])
     assert code == 2
+
+
+@pytest.mark.parametrize("kind", ["fifo", "device"])
+@pytest.mark.parametrize("referenced", [False, True], ids=["top-level", "referenced"])
+def test_special_file_exits_2(phi, tmp_path, kind, referenced):
+    # reading a FIFO blocks until a writer comes, /dev/zero never ends:
+    # both are refused before a byte is read; a child process with a
+    # timeout and a memory cap catches a hang or an unbounded read
+    if kind == "fifo":
+        if not hasattr(os, "mkfifo"):
+            pytest.skip("no FIFOs here")
+        os.mkfifo(tmp_path / "pipe")
+        special = str(tmp_path / "pipe")
+    else:
+        if not os.path.exists("/dev/zero"):
+            pytest.skip("no /dev/zero here")
+        special = "/dev/zero"
+    if referenced:
+        obj = map_to_obj(phi)
+        obj["source"] = "pipe" if kind == "fifo" else special
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps(obj))
+        argv, file = ["classify", str(path)], str(path)
+    else:
+        argv, file = ["validate", special], special
+    out = python_child_output(
+        ["-m", "malg", *argv], timeout=20, exit_code=2, max_memory=256 << 20
+    )
+    results = json.loads(out)["results"]
+    entry = results if referenced else results["files"][0]
+    assert entry["error"] == "InvalidDocument"
+    assert entry["file"] == file
+    assert entry["detail"] == f"not a regular file: {special}"
 
 
 def test_classify_phi(capsys, phi_file):
@@ -503,3 +538,57 @@ def test_parser_reused_across_calls(capsysbinary, s1, phi_file, tmp_path):
     assert cli.build_parser.cache_info().misses == 1
     for argv, out in reports:
         assert out == python_child_output(["-m", "malg", *argv]), argv
+
+
+# Report bytes of every command, as sha256 of stdout: any change to the
+# envelope, its key order, the text layout or an entry shows here.
+PINNED_CASES = {
+    "validate": (["validate", "bad.json", "s1.json"], 2),
+    "classify": (["classify", "phi.json"], 0),
+    "classify-metric": (["classify", "const.json"], 0),
+    "classify-missing": (["classify", "nope.json"], 2),
+    "theorem-check": (["theorem-check", "phi.json"], 0),
+    "theorem-check-budget": (["theorem-check", "phi.json", "--budget", "0"], 3),
+    "functor-check": (["functor-check", "id.json", "phi.json"], 0),
+    "functor-check-mismatch": (["functor-check", "phi.json", "phi.json"], 2),
+}
+PINNED_SHA256 = {
+    ("classify", "json"): "eef777a3c0a73deb68a7feb5c60d80deb403a960d2d13fb5b179b1efff099de9",
+    ("classify", "text"): "f35088a6c7afcc3c381b1310bbb6993f5188799770b4daa0e62855c7893f7ac8",
+    ("classify-metric", "json"): "7987a39805b32b57ec2cb3c1890b9ec607218750ee3df84830ca5ec723df2380",
+    ("classify-metric", "text"): "311bdd2b48811d9171fc1d9ce832068adabb12a8f6df1618511f1977ceb814e9",
+    ("classify-missing", "json"): "bd92e928c5d93faf17b5b4d594aa1f07f43cc44c2bdfdd54a7dde8a2a5c32d4a",
+    ("classify-missing", "text"): "b385371f2c70fb40951568c75d949d9cd761b7e196a0b324710a8b3d278eece9",
+    ("functor-check", "json"): "39797fc9b36815166ef8a5b88dfa2cd2f424dfc41990d76c788ff448a6a50b1d",
+    ("functor-check", "text"): "6a5b73d3d695887ad7e236ee94c2183b423a84267b465cf376c015a79f07d118",
+    ("functor-check-mismatch", "json"): "53da5965b14c8b509a8797ed9732b11bb00c74558429cee60ea78cada7817977",
+    ("functor-check-mismatch", "text"): "836e8367c38410776aa33455cd19e79eadd6842a01332456bcc69ed68b4b154b",
+    ("theorem-check", "json"): "81586feae517d4889362db4b54b49f299b0fed19f321ad9c4f83c43834d69250",
+    ("theorem-check", "text"): "fdbd9578cca0ae9db3eb3080f37a3823159954ccaa874bed293f513dfbc0d2e6",
+    ("theorem-check-budget", "json"): "e1d99bb2aa93ae67e313eb69464c5951903c2512a7d6ed0db4c7cbb481a31716",
+    ("theorem-check-budget", "text"): "de7f63e9cde51ef500439edef97f19b400838d707c93e14f6aab5e03a979e82e",
+    ("validate", "json"): "e161560d7fa9f6e7e0381ad7b857c9f3d2577a3df4c00ae7163f5eaa2b36d436",
+    ("validate", "text"): "5c4f5abe0f9da36d0eeccecd6e165f1778b290f1db875c6ccbb15ecbe0f7a315",
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("case", sorted(PINNED_CASES))
+def test_report_bytes_pinned(
+    capsys, monkeypatch, tmp_path, phi, s1, s2_metric, s3_metric, case, fmt
+):
+    const = make_map(s3_metric.base, s2_metric.base, {"r1": "q1", "r2": "q1"})
+    documents = {
+        "s1.json": dumps_canonical(space_to_obj(s1)),
+        "bad.json": json.dumps({"points": ["a"], "atoms": [[]], "weights": ["1"]}),
+        "phi.json": dumps_canonical(map_to_obj(phi)),
+        "const.json": dumps_canonical(map_to_obj(const, s3_metric, s2_metric)),
+        "id.json": dumps_canonical(map_to_obj(identity_map(s1))),
+    }
+    for name, text in documents.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    argv, exit_code = PINNED_CASES[case]
+    assert main([*argv, "--format", fmt]) == exit_code
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == PINNED_SHA256[case, fmt]

@@ -1,5 +1,6 @@
 """Source rules the README promises: stdlib-only imports and no floats;
-plus one export list that matches what the package imports."""
+plus one export list that matches what the package imports, and no
+import left unused."""
 
 import ast
 import sys
@@ -89,3 +90,38 @@ def test_all_matches_package_imports():
     }
     assert malg.__all__ == sorted(set(malg.__all__))
     assert set(malg.__all__) == imported
+
+
+def _quoted_annotations(tree):
+    """Each annotation written as a string, such as "AlgebraElement", parsed."""
+    for node in ast.walk(tree):
+        for field in ("annotation", "returns"):
+            value = getattr(node, field, None)
+            if isinstance(value, ast.Constant) and isinstance(value.value, str):
+                yield ast.parse(value.value, mode="eval")
+
+
+def test_no_unused_imports():
+    # every imported name is read somewhere in its module; __init__.py
+    # reads its imports through __all__
+    for name, tree in _trees():
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {
+            node.id
+            for part in (tree, *_quoted_annotations(tree))
+            for node in ast.walk(part)
+            if isinstance(node, ast.Name)
+        }
+        if name == "__init__.py":
+            used |= set(malg.__all__)
+        for imported_name, lineno in imported.items():
+            assert imported_name in used, (
+                f"{name}:{lineno} imports {imported_name} and never uses it"
+            )
