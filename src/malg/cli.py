@@ -11,6 +11,9 @@ Each handler loads its own documents through a `_Loader` and returns
 error, into the report envelope and renders it. Reports are
 deterministic: identical inputs and flags give byte-identical output.
 Exit codes: 0 clean, 1 law violation, 2 input error, 3 budget exceeded.
+When theorem-check has found violations before an instance exceeds the
+budget, the report keeps them next to the budget error and the exit code
+is 1: a found disagreement outranks an unfinished run.
 """
 
 from __future__ import annotations
@@ -202,7 +205,8 @@ def cmd_theorem_check(args, loader: _Loader) -> tuple[dict, list, int]:
         try:
             record = _theorem_record(index, phi, args.budget)
         except BudgetExceeded as exc:
-            return {**head, "error": _error_entry(None, exc)}, [], 3
+            error = {**head, "error": _error_entry(None, exc)}
+            return error, violations, 1 if violations else 3
         records.append(record)
         if not record["agree"]:
             violations.append(

@@ -21,6 +21,9 @@ INF_TOKEN = "inf"
 # value derived from several (a ratio, a sum) may not
 MAX_DIGITS = 4300
 _TOO_BIG = 10**MAX_DIGITS
+# "p" and "p/q" in ASCII digits up to this length are read by int() alone:
+# far under MAX_DIGITS and the length cap, so neither check can fail
+_SHORT = 64
 
 
 def parse_rational(text: str) -> Optional[Fraction]:
@@ -28,7 +31,16 @@ def parse_rational(text: str) -> Optional[Fraction]:
     exponent, or "inf" (returned as None). Raises InvalidRational on malformed
     text and on a numerator or denominator of more than MAX_DIGITS digits;
     length and exponent are checked first, so hostile strings cost little.
+    Short unsigned "p" and "p/q" with q nonzero skip the general path.
     """
+    if len(text) <= _SHORT and text.isascii():
+        num, slash, den = text.partition("/")
+        if num.isdigit():
+            if not slash:
+                return Fraction(int(num))
+            q = int(den) if den.isdigit() else 0
+            if q:
+                return Fraction(int(num), q)
     if text.strip() == INF_TOKEN:
         return None
     exponent = text.lower().partition("e")[2]
@@ -48,7 +60,10 @@ def parse_rational(text: str) -> Optional[Fraction]:
 def to_fraction(value, finite: bool = True) -> Optional[Fraction]:
     """The one coercion of numbers from callers: an int, a Fraction, or a
     string through parse_rational; signs pass through. "inf" gives None if
-    `finite` is False, else InvalidRational; any other type raises TypeError."""
+    `finite` is False, else InvalidRational; any other type raises TypeError.
+    A Fraction is immutable and in lowest terms, so it comes back as is."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if not isinstance(value, str):

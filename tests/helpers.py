@@ -8,7 +8,9 @@ and cross-checked against the public rho before any law uses them.
 `drop_lowest_image_atom` is a planted hom fault shared by the CLI and
 metric tests, `python_child_output` runs a child interpreter on the
 malg under test. `fraction_metric_check` is the metric axiom check in
-`Fraction` arithmetic, the reference for the library's integer check.
+`Fraction` arithmetic, the reference for the library's integer check;
+`general_parse_rational` is the rational-string parser without a short
+path, the reference for the library's parser.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import sys
 from fractions import Fraction
 from math import isqrt, lcm
 from pathlib import Path
+from typing import Optional
 
 import malg
 
@@ -28,11 +31,13 @@ from malg import (
     BooleanHom,
     CompressionResult,
     ExtRational,
+    InvalidRational,
     MeasurableMap,
     MeasureAlgebra,
     MetricAxiomViolation,
     rho,
 )
+from malg.rationals import INF_TOKEN, MAX_DIGITS
 
 
 def oracle_pushforward_masses(phi: MeasurableMap) -> list[ExtRational]:
@@ -142,6 +147,25 @@ def fraction_metric_check(points, rows) -> None:
                         "triangle inequality fails on "
                         f"({points[i]}, {points[j]}, {points[k]})"
                     )
+
+
+def general_parse_rational(text: str) -> Optional[Fraction]:
+    """parse_rational as it was before its short path: every string goes
+    through the length and exponent checks and `Fraction(str)`."""
+    if text.strip() == INF_TOKEN:
+        return None
+    exponent = text.lower().partition("e")[2]
+    if len(text) > 2 * MAX_DIGITS + 16 or len(exponent.lstrip("+-0")) > 4:
+        raise InvalidRational(f"not a rational: {text!r}")
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise InvalidRational(f"not a rational: {text!r}") from None
+    if max(abs(value.numerator), value.denominator) >= 10**MAX_DIGITS:
+        raise InvalidRational(
+            f"numerator or denominator over {MAX_DIGITS} digits: {text!r}"
+        )
+    return value
 
 
 def primes_from(start: int, count: int) -> list[int]:

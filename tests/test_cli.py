@@ -328,6 +328,10 @@ def test_theorem_check_budget_exceeded(capsys, phi_file):
         code, report = run_cli(capsys, ["theorem-check", phi_file, "--budget", budget])
         assert code == 3
         assert report["results"]["error"]["error"] == "BudgetExceeded"
+    # phi's target has exactly 2 non-null atoms: a budget of 2 enumerates
+    code, report = run_cli(capsys, ["theorem-check", phi_file, "--budget", "2"])
+    assert code == 0
+    assert report["results"]["instances"][0]["lipschitz_bruteforce"] == "5/6"
 
 
 def test_negative_budget_is_usage_error(capsys):
@@ -379,6 +383,35 @@ def test_theorem_check_mutation_exits_1(capsys, phi_file, monkeypatch):
     assert witness["lipschitz_fast"] == "1/7"
     assert witness["compression"] == "5/6"
     assert witness["instance"]["fn"]["p1"] == "q1"
+
+
+def test_theorem_check_keeps_violations_at_budget_stop(capsys, monkeypatch):
+    # seed 7: instance 0 has 6 non-null target atoms and disagrees under a
+    # wrong fast path, instance 1 has 8; the violation found first stays
+    # in the report next to the budget error, and exit 1 wins over exit 3
+    from fractions import Fraction
+
+    import malg.cli as cli
+    from malg.maps import CompressionResult
+
+    monkeypatch.setattr(
+        cli, "lipschitz_fast", lambda m: CompressionResult.bounded(Fraction(1, 7))
+    )
+    argv = ["theorem-check", "--seed", "7", "--budget", "6"]
+    code, one = run_cli(capsys, argv + ["--trials", "1"])
+    assert code == 1 and len(one["violations"]) == 1
+    code, two = run_cli(capsys, argv + ["--trials", "2"])
+    assert code == 1 and two["exit_code"] == 1
+    assert two["violations"] == one["violations"]
+    assert two["results"] == {
+        "seed": 7,
+        "trials": 2,
+        "budget": 6,
+        "error": {
+            "error": "BudgetExceeded",
+            "detail": "8 non-null target atoms exceed the budget of 6",
+        },
+    }
 
 
 def test_validate_reports_per_file(capsys, s1, tmp_path):
@@ -551,6 +584,27 @@ PINNED_CASES = {
     "theorem-check-budget": (["theorem-check", "phi.json", "--budget", "0"], 3),
     "functor-check": (["functor-check", "id.json", "phi.json"], 0),
     "functor-check-mismatch": (["functor-check", "phi.json", "phi.json"], 2),
+    "validate-spellings": (["validate", "spellings.json"], 0),
+    "classify-spellings": (["classify", "spellings.json"], 0),
+    "theorem-check-spellings": (["theorem-check", "spellings.json"], 0),
+}
+# A metric map whose weights and distances spell numbers in each way the
+# parser accepts: a fraction, leading zeros, decimals, an exponent, a sign,
+# spaces, an underscore, a non-ASCII digit and "inf".
+SPELLINGS = {
+    "source": {
+        "points": ["a", "b", "c"],
+        "atoms": [["a"], ["b"], ["c"]],
+        "weights": ["6/4", "007", " 2 "],
+        "dist": ["25e-1", "+3", "\u0663"],
+    },
+    "target": {
+        "points": ["x", "y", "z"],
+        "atoms": [["x"], ["y"], ["z"]],
+        "weights": ["1.25", "inf", "1_000"],
+        "dist": ["+3", " 2 ", "1.25"],
+    },
+    "fn": {"a": "x", "b": "x", "c": "z"},
 }
 PINNED_SHA256 = {
     ("classify", "json"): "eef777a3c0a73deb68a7feb5c60d80deb403a960d2d13fb5b179b1efff099de9",
@@ -559,6 +613,8 @@ PINNED_SHA256 = {
     ("classify-metric", "text"): "311bdd2b48811d9171fc1d9ce832068adabb12a8f6df1618511f1977ceb814e9",
     ("classify-missing", "json"): "bd92e928c5d93faf17b5b4d594aa1f07f43cc44c2bdfdd54a7dde8a2a5c32d4a",
     ("classify-missing", "text"): "b385371f2c70fb40951568c75d949d9cd761b7e196a0b324710a8b3d278eece9",
+    ("classify-spellings", "json"): "2188332ba77560b930c5d09f2dfa18181edf4ae0f051eaa7b1faf6d81e736cb5",
+    ("classify-spellings", "text"): "3f491f04cae246a1b6ab55938fa243392fb7032027a47a79ae90b8b761681bfd",
     ("functor-check", "json"): "39797fc9b36815166ef8a5b88dfa2cd2f424dfc41990d76c788ff448a6a50b1d",
     ("functor-check", "text"): "6a5b73d3d695887ad7e236ee94c2183b423a84267b465cf376c015a79f07d118",
     ("functor-check-mismatch", "json"): "53da5965b14c8b509a8797ed9732b11bb00c74558429cee60ea78cada7817977",
@@ -567,8 +623,12 @@ PINNED_SHA256 = {
     ("theorem-check", "text"): "fdbd9578cca0ae9db3eb3080f37a3823159954ccaa874bed293f513dfbc0d2e6",
     ("theorem-check-budget", "json"): "e1d99bb2aa93ae67e313eb69464c5951903c2512a7d6ed0db4c7cbb481a31716",
     ("theorem-check-budget", "text"): "de7f63e9cde51ef500439edef97f19b400838d707c93e14f6aab5e03a979e82e",
+    ("theorem-check-spellings", "json"): "a4a06f52eaa9cef239c5d7fb68c093154d4fad0bde6dc1620995129503922c54",
+    ("theorem-check-spellings", "text"): "aaf51d2de7c00918635501102d800b05513605055302853875b89e36b835f3d1",
     ("validate", "json"): "e161560d7fa9f6e7e0381ad7b857c9f3d2577a3df4c00ae7163f5eaa2b36d436",
     ("validate", "text"): "5c4f5abe0f9da36d0eeccecd6e165f1778b290f1db875c6ccbb15ecbe0f7a315",
+    ("validate-spellings", "json"): "be3b1450b65514a45d76a78fc32e3f2cb87c5008fee65602a6a851cf6e7a840e",
+    ("validate-spellings", "text"): "b16678784983968b24b37a4c96e07335a39b8722c75dcf65635799c5e95a9918",
 }
 
 
@@ -584,6 +644,7 @@ def test_report_bytes_pinned(
         "phi.json": dumps_canonical(map_to_obj(phi)),
         "const.json": dumps_canonical(map_to_obj(const, s3_metric, s2_metric)),
         "id.json": dumps_canonical(map_to_obj(identity_map(s1))),
+        "spellings.json": json.dumps(SPELLINGS),
     }
     for name, text in documents.items():
         (tmp_path / name).write_text(text)

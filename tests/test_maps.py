@@ -261,6 +261,16 @@ def test_lipschitz_bruteforce_budget():
     # explicit budget raises sooner
     with pytest.raises(BudgetExceeded):
         lipschitz_bruteforce(identity_map(big), budget=4)
+    # the budget counts non-null atoms: the null atom is free, the
+    # infinite one counts, and a budget equal to the count enumerates
+    inf = ExtRational.infinity()
+    space = make_space(
+        ["u", "v", "w", "z"], [["u"], ["v"], ["w"], ["z"]], [1, 2, inf, 0]
+    )
+    report = lipschitz_bruteforce(identity_map(space), budget=3)
+    assert report.result == CompressionResult.bounded(1)
+    with pytest.raises(BudgetExceeded, match="3 non-null target atoms"):
+        lipschitz_bruteforce(identity_map(space), budget=2)
 
 
 def test_lipschitz_bruteforce_trivial_algebra():

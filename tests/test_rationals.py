@@ -1,11 +1,14 @@
 """Extended-rational arithmetic: conventions, order, parsing."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from malg import INF, ExtRational, IndeterminateRatio, InvalidRational, ZeroDenominator
-from malg.rationals import to_fraction
+from malg.rationals import parse_rational, to_fraction
+
+from helpers import general_parse_rational
 
 
 def test_lowest_terms():
@@ -48,6 +51,51 @@ def test_string_digit_bound():
     with pytest.raises(InvalidRational):
         to_fraction("inf")  # finite values only by default
     assert to_fraction("inf", finite=False) is None
+
+
+def _outcome(parse, text):
+    try:
+        value = parse(text)
+    except Exception as exc:  # the reference's exception is the expectation
+        return type(exc), str(exc)
+    return type(value), value
+
+
+def test_parse_rational_matches_general_path():
+    # the short path must not change what any string parses to, or the
+    # type and message of what it raises
+    rng = random.Random(20261018)
+    # digits weighted up, so that many draws are plain "p" and "p/q"
+    pieces = list("0123456789" * 3 + "/+-_.eE ") + ["\u0663", "\u00b2", "inf"]
+    texts = [
+        "".join(rng.choices(pieces, k=rng.randrange(13))) for _ in range(100_000)
+    ]
+    texts += ["0/0", "3/0", "007", "007/010", "1e5000", "5/6", "0", "00/7"]
+    for digits in (4300, 4301):
+        texts += ["9" * digits, "1/" + "3" * digits, "2" * digits + "/7"]
+    for length in (8616, 8617):  # the length cap is 2 * 4300 + 16
+        texts += ["0" * (length - 1) + "7", "1/" + "0" * (length - 3) + "3"]
+    for length in (63, 64, 65, 66):  # around the short path's bound
+        texts += ["7" * length, "1/" + "3" * (length - 2), "1/" + "0" * (length - 2)]
+    for text in texts:
+        assert _outcome(parse_rational, text) == _outcome(
+            general_parse_rational, text
+        ), text
+
+
+def test_to_fraction_types():
+    class Half(Fraction):
+        pass
+
+    exact = Fraction(5, 6)
+    assert to_fraction(exact) is exact
+    for value, expected in [(True, 1), (7, 7), (Half(1, 2), Fraction(1, 2))]:
+        got = to_fraction(value)
+        assert type(got) is Fraction and got == expected
+    with pytest.raises(TypeError):
+        to_fraction(0.5)
+    with pytest.raises(TypeError):
+        ExtRational(0.5)
 
 
 def test_zero_denominator_at_construction():
