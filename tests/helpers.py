@@ -10,7 +10,9 @@ metric tests, `python_child_output` runs a child interpreter on the
 malg under test. `fraction_metric_check` is the metric axiom check in
 `Fraction` arithmetic, the reference for the library's integer check;
 `general_parse_rational` is the rational-string parser without a short
-path, the reference for the library's parser.
+path, the reference for the library's parser; `pair_scan_hom_laws` is
+the hom-law check over every ordered pair of domain elements, the
+reference for the library's linear join and meet certificates.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
 from math import isqrt, lcm
+from operator import and_, or_
 from pathlib import Path
 from typing import Optional
 
@@ -32,6 +36,8 @@ from malg import (
     CompressionResult,
     ExtRational,
     InvalidRational,
+    LawReport,
+    LawViolation,
     MeasurableMap,
     MeasureAlgebra,
     MetricAxiomViolation,
@@ -166,6 +172,48 @@ def general_parse_rational(text: str) -> Optional[Fraction]:
             f"numerator or denominator over {MAX_DIGITS} digits: {text!r}"
         )
     return value
+
+
+def pair_scan_hom_laws(hom: BooleanHom) -> LawReport:
+    """check_hom_laws as it was before its join and meet certificates:
+    joins and meets are checked on every ordered pair of domain elements."""
+    image = {a.mask: hom.apply(a).mask for a in hom.domain.all_elements()}
+    top, image_top = hom.domain.top.mask, hom.codomain.top.mask
+    found: list[tuple[str, dict[str, int]]] = []  # law, witness masks
+
+    if image[0]:
+        found.append(("preserves-zero", {"got": image[0]}))
+    if image[top] != image_top:
+        found.append(("preserves-top", {"got": image[top]}))
+    for law, op in (("preserves-join", or_), ("preserves-meet", and_)):
+        pair = next(
+            ((a, b) for a, b in product(image, repeat=2)
+             if image[op(a, b)] != op(image[a], image[b])),
+            None,
+        )
+        if pair is not None:
+            a, b = pair
+            found.append((law, {
+                "a": a,
+                "b": b,
+                "image_of_combined": image[op(a, b)],
+                "combined_images": op(image[a], image[b]),
+            }))
+    a = next((a for a in image if image[a ^ top] != image[a] ^ image_top), None)
+    if a is not None:
+        found.append(("preserves-complement", {
+            "a": a,
+            "image_of_complement": image[a ^ top],
+            "complement_of_image": image[a] ^ image_top,
+        }))
+
+    return LawReport(tuple(
+        LawViolation(law, {
+            key: [i for i in range(m.bit_length()) if m >> i & 1]
+            for key, m in witness.items()
+        })
+        for law, witness in found
+    ))
 
 
 def primes_from(start: int, count: int) -> list[int]:

@@ -1,12 +1,18 @@
 """Maps: measurability, pushforward, the induced hom, compression routes."""
 
+import random
+import time
 from fractions import Fraction
+from functools import reduce
+from itertools import product
+from operator import and_, or_
 
 import pytest
 
 from malg import (
     INF,
     UNBOUNDED,
+    AlgebraElement,
     BooleanHom,
     BudgetExceeded,
     CompressionResult,
@@ -33,7 +39,13 @@ from malg import (
     random_instance,
 )
 
-from helpers import oracle_compression, oracle_pushforward_masses
+from malg.maps import _joins_certified, _meets_certified
+
+from helpers import (
+    oracle_compression,
+    oracle_pushforward_masses,
+    pair_scan_hom_laws,
+)
 
 
 @pytest.fixture
@@ -394,13 +406,156 @@ def test_swapped_images_still_lawful(s2):
 
 
 def test_hom_laws_random_instances():
+    sizes = []
     for i in range(40):
         inst = random_instance(19, i)
         if not is_inverse_nil_preserving(inst):
             continue
-        if len(build_algebra(inst.target).nonnull_atoms) > 5:
-            continue
-        assert check_hom_laws(induced_homomorphism(inst)).ok
+        hom = induced_homomorphism(inst)
+        assert check_hom_laws(hom).ok
+        sizes.append(len(hom.domain.nonnull_atoms))
+    assert max(sizes) > 5
+
+
+def _report_items(report):
+    """Law names and witness items, in order: LawReport equality would
+    not see the order of the witness keys."""
+    return [(v.law, list(v.witness.items())) for v in report.violations]
+
+
+def _assert_matches_pair_scan(hom) -> set[str]:
+    """check_hom_laws gives the pair scan's report, and each certificate
+    holds exactly when the pair scan finds no counterexample to its law
+    (a certificate that is too strict would leave the reports alike and
+    only cost the pair scan). Returns the violated laws."""
+    report = check_hom_laws(hom)
+    reference = pair_scan_hom_laws(hom)
+    assert _report_items(report) == _report_items(reference)
+    image = {e.mask: hom.apply(e).mask for e in hom.domain.all_elements()}
+    laws = {v.law for v in reference.violations}
+    assert _joins_certified(image) == ("preserves-join" not in laws)
+    assert _meets_certified(image, hom.domain.top.mask) == ("preserves-meet" not in laws)
+    return laws
+
+
+def _law_algebras():
+    """Measure algebras of 0 to 4 non-null atoms, some with a null atom
+    among them."""
+    weights = [
+        (0,), (1,), (1, 2), (2, 0, 1), (1, INF, 3), (1, 0, 2, 3, Fraction(1, 2)),
+    ]
+    for ws in weights:
+        points = [f"x{i}" for i in range(len(ws))]
+        yield build_algebra(make_space(points, [[x] for x in points], list(ws)))
+
+
+def test_check_hom_laws_matches_pair_scan_on_small_homs():
+    algebras = [alg for alg in _law_algebras() if len(alg.nonnull_atoms) <= 3]
+    laws = set()
+    n_homs = 0
+    for domain, codomain in product(algebras, repeat=2):
+        atoms = domain.nonnull_atoms
+        for images in product(codomain.all_elements(), repeat=len(atoms)):
+            hom = BooleanHom(domain, codomain, dict(zip(atoms, images)))
+            laws |= _assert_matches_pair_scan(hom)
+            n_homs += 1
+    assert n_homs == 875
+    # a join of atom actions always keeps zero and joins
+    assert laws == {"preserves-top", "preserves-meet", "preserves-complement"}
+
+
+class _FromTable(BooleanHom):
+    """Ignores its atom actions: apply reads each image off `table`, a
+    dict from domain masks to codomain masks, so it may break any law."""
+
+    def apply(self, elem):
+        return AlgebraElement(self.codomain, self.table[elem.mask])
+
+
+def _faulty_tables(rng, domain, codomain):
+    """Seeded image tables: a join of arbitrary atom images over an
+    arbitrary image of zero (it keeps joins), its dual (it keeps meets),
+    and a lawful table with the image of zero, of top or of one other
+    element replaced."""
+    elements = [e.mask for e in domain.all_elements()]
+    atoms = domain.nonnull_atoms
+    top, codomain_top = domain.top.mask, codomain.top.mask
+
+    def arbitrary():
+        return rng.getrandbits(codomain_top.bit_length()) & codomain_top
+
+    def joined(base, atom_images):
+        # base joined with the images of each element's atoms
+        return {
+            a: reduce(or_, (g for i, g in zip(atoms, atom_images) if a >> i & 1), base)
+            for a in elements
+        }
+
+    def met(base, atom_images):
+        # base met with the images of the atoms missing from each element
+        return {
+            a: reduce(and_, (h for i, h in zip(atoms, atom_images) if not a >> i & 1), base)
+            for a in elements
+        }
+
+    # a lawful table: each codomain atom goes to the image of one domain atom
+    cover = [0] * len(atoms)
+    for j in codomain.nonnull_atoms:
+        cover[rng.randrange(len(atoms))] |= 1 << j
+    lawful = joined(0, cover)
+    tables = [
+        ("join-form", joined(arbitrary(), [arbitrary() for _ in atoms])),
+        ("meet-form", met(arbitrary(), [arbitrary() for _ in atoms])),
+    ]
+    for a in (0, top, rng.choice(elements)):
+        tables.append(("replaced", {**lawful, a: arbitrary()}))
+    return tables
+
+
+def test_check_hom_laws_matches_pair_scan_on_faulty_tables():
+    rng = random.Random(12)
+    algebras = [alg for alg in _law_algebras() if alg.nonnull_atoms]
+    seen = set()
+    for _ in range(40):
+        for domain, codomain in product(algebras, repeat=2):
+            for kind, table in _faulty_tables(rng, domain, codomain):
+                hom = _FromTable(
+                    domain, codomain, {b: codomain.zero for b in domain.nonnull_atoms}
+                )
+                hom.table = table
+                laws = _assert_matches_pair_scan(hom)
+                if kind == "join-form":
+                    assert "preserves-join" not in laws
+                if kind == "meet-form":
+                    assert "preserves-meet" not in laws
+                seen.add(frozenset(laws & {"preserves-join", "preserves-meet"}))
+                seen.update(laws & {"preserves-zero", "preserves-top"})
+    assert seen >= {
+        frozenset({"preserves-join"}),
+        frozenset({"preserves-meet"}),
+        frozenset({"preserves-join", "preserves-meet"}),
+        "preserves-zero",
+        "preserves-top",
+    }
+
+
+def test_check_hom_laws_linear_in_elements():
+    # 12 target atoms, each hit by two of 24 source atoms: a scan of the
+    # joins and meets of all pairs would take 2 * 4^12 steps
+    rng = random.Random(7)
+    weight = lambda: Fraction(rng.randint(1, 16), rng.randint(1, 16))
+    q = [f"q{i:02d}" for i in range(12)]
+    p = [f"p{i:02d}" for i in range(24)]
+    target = make_space(q, [[x] for x in q], [weight() for _ in q])
+    source = make_space(p, [[x] for x in p], [weight() for _ in p])
+    images = q + q
+    rng.shuffle(images)
+    hom = induced_homomorphism(make_map(source, target, dict(zip(p, images))))
+    start = time.perf_counter()
+    report = check_hom_laws(hom)
+    elapsed = time.perf_counter() - start
+    assert report.ok
+    assert elapsed < 1, elapsed
 
 
 def test_compose_and_identity_laws(phi, s1, s2):
