@@ -6,11 +6,7 @@ class MalgError(Exception):
 
 
 class ZeroDenominator(MalgError):
-    """Ratio requested with a zero denominator."""
-
-
-class IndeterminateRatio(MalgError):
-    """Ratio of two infinite quantities."""
+    """An ExtRational built as ExtRational(p, 0)."""
 
 
 class DuplicatePoint(MalgError):

@@ -7,13 +7,17 @@ between the measure algebras, acting contravariantly.
 
 Three routes compute the same constant and must agree exactly:
 
-* :func:`compression` reads atomwise ratios off the pushforward measure;
+* :func:`compression` reads atomwise ratios off the pushforward measure,
+  each a quotient of two Fractions;
 * :func:`lipschitz_fast` takes the max of mu-bar ratios over single target
-  atoms under the induced homomorphism;
+  atoms under the induced homomorphism, compared as int pairs by
+  cross-multiplication;
 * :func:`lipschitz_bruteforce` enumerates every pair of finite-measure
-  algebra elements and maximizes the distance ratio.
+  algebra elements and maximizes the distance ratio in its own Fraction
+  pair loop.
 
-The first two share no ratio code on purpose; the third is the oracle.
+The three share no ratio code on purpose, so a fault in one route's
+arithmetic leaves it alone against the other two; the third is the oracle.
 """
 
 from __future__ import annotations
@@ -345,7 +349,7 @@ def compression(phi: MeasurableMap) -> CompressionResult:
             return UNBOUNDED
         if m.is_zero:
             continue
-        ratio = (m / w).as_fraction()
+        ratio = m.as_fraction() / w.as_fraction()
         if best is None or ratio > best:
             best = ratio
     return CompressionResult.bounded(best if best is not None else 0)
@@ -357,21 +361,25 @@ def lipschitz_fast(phi: MeasurableMap) -> CompressionResult:
     Atoms are extremal for the distance-ratio sup (mediant inequality), so
     the max over finite-weight target atoms of mu-bar(image)/mu-bar(atom)
     already equals the constant. Unbounded when the map is not inp or the
-    finite ideal is not preserved. Shares no ratio code with compression.
+    finite ideal is not preserved. Shares no ratio code with compression:
+    the best ratio is an int pair (num, den), compared by cross-multiplying
+    over positive denominators, and made a Fraction once at the end.
     """
     if not is_inverse_nil_preserving(phi):
         return UNBOUNDED
     hom = induced_homomorphism(phi)
-    best: Optional[Fraction] = None
+    num, den = 0, 1
     for b in hom.domain.fin_atoms:
         image_mass = mu_bar(hom.atom_action[b])
         if image_mass.is_infinite:
             return UNBOUNDED  # finite ideal not preserved
-        atom_mass = mu_bar(hom.domain.element((b,)))
-        ratio = (image_mass / atom_mass).as_fraction()
-        if best is None or ratio > best:
-            best = ratio
-    return CompressionResult.bounded(best if best is not None else 0)
+        image = image_mass.as_fraction()
+        atom = mu_bar(hom.domain.element((b,))).as_fraction()  # finite, > 0
+        p = image.numerator * atom.denominator
+        q = image.denominator * atom.numerator
+        if p * den > num * q:
+            num, den = p, q
+    return CompressionResult.bounded(Fraction(num, den))
 
 
 @dataclass(frozen=True)
@@ -394,8 +402,11 @@ def lipschitz_bruteforce(phi: MeasurableMap, budget: int = 12) -> BruteForceRepo
 
     Enumerates the full finite-measure ideal of the target algebra, so the
     number of non-null target atoms must not exceed `budget` (default 12);
-    raises BudgetExceeded above that.
+    raises BudgetExceeded above that. A budget that is not an int raises
+    TypeError.
     """
+    if not isinstance(budget, int):
+        raise TypeError(f"budget must be an int, not {budget!r}")
     domain = build_algebra(phi.target)
     n_nonnull = len(domain.nonnull_atoms)
     if n_nonnull > budget:

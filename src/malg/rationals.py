@@ -1,8 +1,7 @@
 """Non-negative exact rationals extended with +infinity.
 
 Every measure value in this package is an :class:`ExtRational`. Arithmetic
-follows the measure-theoretic conventions, in particular ``0 * inf == 0``,
-and ratios that have no meaningful value raise instead of returning one.
+follows the measure-theoretic conventions, in particular ``0 * inf == 0``.
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ from fractions import Fraction
 from functools import total_ordering
 from typing import Optional, Union
 
-from .errors import IndeterminateRatio, InvalidRational, ZeroDenominator
+from .errors import InvalidRational, ZeroDenominator
 
 RationalLike = Union["ExtRational", Fraction, int, str]
 
@@ -113,14 +112,6 @@ class ExtRational:
     def is_zero(self) -> bool:
         return self._frac == 0
 
-    @property
-    def numerator(self) -> int:
-        return self.as_fraction().numerator
-
-    @property
-    def denominator(self) -> int:
-        return self.as_fraction().denominator
-
     def as_fraction(self) -> Fraction:
         if self._frac is None:
             raise ValueError("infinite value has no Fraction form")
@@ -156,20 +147,6 @@ class ExtRational:
         return ExtRational(self._frac * rhs._frac)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "ExtRational":
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        if rhs._frac is not None and rhs._frac == 0:
-            raise ZeroDenominator("ratio with zero denominator")
-        if self._frac is None and rhs._frac is None:
-            raise IndeterminateRatio("inf / inf is undefined")
-        if rhs._frac is None:
-            return ExtRational(0)
-        if self._frac is None:
-            return INF
-        return ExtRational(self._frac / rhs._frac)
 
     def _key(self):
         # order key: finite values first, by magnitude; infinity above all

@@ -6,20 +6,24 @@ oracle scans every measurable target set against the defining
 inequality, and the scaled mass tables are re-derived from atom weights
 and cross-checked against the public rho before any law uses them.
 `drop_lowest_image_atom` is a planted hom fault shared by the CLI and
-metric tests, `python_child_output` runs a child interpreter on the
-malg under test. `fraction_metric_check` is the metric axiom check in
-`Fraction` arithmetic, the reference for the library's integer check;
-`general_parse_rational` is the rational-string parser without a short
-path, the reference for the library's parser; `pair_scan_hom_laws` is
-the hom-law check over every ordered pair of domain elements, the
-reference for the library's linear join and meet certificates.
+metric tests, `mutated` plants a fault by recompiling one function with
+one snippet of its source replaced, `python_child_output` runs a child
+interpreter on the malg under test. `fraction_metric_check` is the
+metric axiom check in `Fraction` arithmetic, the reference for the
+library's integer check; `general_parse_rational` is the rational-string
+parser without a short path, the reference for the library's parser;
+`pair_scan_hom_laws` is the hom-law check over every ordered pair of
+domain elements, the reference for the library's linear join and meet
+certificates.
 """
 
 from __future__ import annotations
 
+import inspect
 import os
 import subprocess
 import sys
+import textwrap
 from fractions import Fraction
 from itertools import product
 from math import isqrt, lcm
@@ -81,7 +85,7 @@ def oracle_compression(phi: MeasurableMap) -> CompressionResult:
             return UNBOUNDED
         if weight.is_infinite:
             continue
-        ratio = (mass / weight).as_fraction()
+        ratio = mass.as_fraction() / weight.as_fraction()
         if ratio > best:
             best = ratio
     return CompressionResult.bounded(best)
@@ -129,6 +133,20 @@ def drop_lowest_image_atom(hom: BooleanHom) -> BooleanHom:
         for b, e in hom.atom_action.items()
     }
     return BooleanHom(hom.domain, hom.codomain, action)
+
+
+def mutated(fn, old: str, new: str):
+    """A planted fault: `fn` recompiled from its source, in its own module
+    globals, with the snippet `old` replaced by `new`. The snippet must
+    occur exactly once, so a refactor that drops it fails here instead of
+    planting nothing."""
+    source = textwrap.dedent(inspect.getsource(fn))
+    found = source.count(old)
+    assert found == 1, f"{old!r} occurs {found} times in {fn.__name__}"
+    namespace: dict = {}
+    code = compile(source.replace(old, new), inspect.getsourcefile(fn), "exec")
+    exec(code, fn.__globals__, namespace)
+    return namespace[fn.__name__]
 
 
 def fraction_metric_check(points, rows) -> None:

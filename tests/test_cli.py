@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+import malg.cli
 import malg.maps
 import malg.metric
 from malg import (
@@ -29,7 +30,7 @@ from malg.formats import (
     space_to_obj,
 )
 
-from helpers import drop_lowest_image_atom, python_child_output
+from helpers import drop_lowest_image_atom, mutated, python_child_output
 
 
 @pytest.fixture
@@ -514,10 +515,31 @@ def _drop_lowest_image_atom(phi):
         ("mu_bar", _lowest_atom_only, "lipschitz_fast"),
         # fast and the oracle share the hom, compression does not
         ("induced_homomorphism", _drop_lowest_image_atom, "compression"),
+        # each route's own ratio arithmetic: a 1-ppm error in compression's
+        # division, a flipped comparison in fast's cross-multiplication
+        pytest.param(
+            "compression",
+            mutated(
+                malg.maps.compression,
+                "ratio = m.as_fraction() / w.as_fraction()",
+                "ratio = m.as_fraction() / w.as_fraction() * Fraction(1000001, 10**6)",
+            ),
+            "compression",
+            id="compression-division-1ppm",
+        ),
+        pytest.param(
+            "lipschitz_fast",
+            mutated(malg.maps.lipschitz_fast, "p * den > num * q", "p * den < num * q"),
+            "lipschitz_fast",
+            id="lipschitz_fast-flipped-comparison",
+        ),
     ],
 )
 def test_planted_fault_caught(capsys, monkeypatch, name, fault, odd_one_out):
-    monkeypatch.setattr(malg.maps, name, fault)
+    # cli imports the routes by name, so a route is patched there too
+    for module in (malg.maps, malg.cli):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, fault)
     code, report = run_cli(capsys, ["theorem-check", "--trials", "30", "--seed", "7"])
     assert code == 1 and report["violations"]
     # every violation shows the faulty route alone against the other two

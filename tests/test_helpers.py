@@ -4,10 +4,18 @@ from fractions import Fraction
 
 import pytest
 
-from malg import UNBOUNDED, CompressionResult, build_algebra, make_map, make_space
+from malg import (
+    UNBOUNDED,
+    CompressionResult,
+    build_algebra,
+    compression,
+    make_map,
+    make_space,
+)
 
 from helpers import (
     assert_table_matches_rho,
+    mutated,
     oracle_compression,
     scaled_mass_table,
 )
@@ -52,3 +60,12 @@ def test_oracle_disagrees_with_planted_bug(s1, s2):
     # a wrong map (different constant target) must not match phi's value
     wrong = make_map(s1, s2, {"p1": "q2", "p2": "q2", "p3": "q2", "p4": "q2"})
     assert oracle_compression(wrong) == CompressionResult.bounded(Fraction(5, 12))
+
+
+def test_mutated_plants_exactly_one_edit(s2):
+    phi = make_map(s2, s2, {p: p for p in s2.points})
+    assert mutated(compression, "ratio > best", "ratio > best")(phi) == compression(phi)
+    # a snippet that is absent, or occurs twice, plants nothing: it must fail
+    for snippet in ("no such text", "return UNBOUNDED"):
+        with pytest.raises(AssertionError, match="occurs"):
+            mutated(compression, snippet, "")

@@ -227,14 +227,17 @@ def test_max_finite_density_equals_compression():
         weights = inst.target.weights
         # pushforward density on finite non-null atoms: the infinite
         # atoms constrain nothing and inp leaves no mass on null ones
-        densities = [
-            push.masses[b] / weights[b]
+        atoms = [
+            b
             for b in range(inst.target.n_atoms)
             if not (weights[b].is_infinite or weights[b].is_zero)
         ]
-        if any(d.is_infinite for d in densities):
+        if any(push.masses[b].is_infinite for b in atoms):
             continue
-        peak = max((d.as_fraction() for d in densities), default=Fraction(0))
+        peak = max(
+            (push.masses[b].as_fraction() / weights[b].as_fraction() for b in atoms),
+            default=Fraction(0),
+        )
         assert compression(inst) == CompressionResult.bounded(peak)
 
 
@@ -283,6 +286,13 @@ def test_lipschitz_bruteforce_budget():
     assert report.result == CompressionResult.bounded(1)
     with pytest.raises(BudgetExceeded, match="3 non-null target atoms"):
         lipschitz_bruteforce(identity_map(space), budget=2)
+
+
+def test_lipschitz_bruteforce_budget_must_be_int(s2):
+    # no float at an API boundary: 12.5 would otherwise act as a budget of 12
+    for budget in (12.5, 2.0, Fraction(12), "12"):
+        with pytest.raises(TypeError):
+            lipschitz_bruteforce(identity_map(s2), budget=budget)
 
 
 def test_lipschitz_bruteforce_trivial_algebra():
