@@ -91,37 +91,35 @@ def make_map(
 
     Raises UnknownPoint if the function is not total on the source points
     or hits labels outside the target, NotMeasurable if some target atom's
-    preimage splits a source atom.
+    preimage splits a source atom; every label is checked before any atom.
     """
     fn = dict(point_fn)
-    src_points = set(source.points)
+    src_points = source._atom_of.keys()
     missing = src_points - fn.keys()
     if missing:
         raise UnknownPoint(f"no image assigned for points {sorted(missing)}")
     extra = fn.keys() - src_points
     if extra:
         raise UnknownPoint(f"not source points: {sorted(extra)}")
+    atom_of = target._atom_of
+    if set(fn.values()) - atom_of.keys():
+        for q in fn.values():
+            target.atom_of(q)  # names the first bad label in fn's order
 
-    image_atom = {}
-    for p, q in fn.items():
-        image_atom[p] = target.atom_of(q)  # raises UnknownPoint on bad labels
-
-    assigned: list[Optional[int]] = [None] * source.n_atoms
-    for a, block in enumerate(source.atoms):
-        hit = {image_atom[p] for p in block}
-        if len(hit) > 1:
-            names = [target.atoms[b] for b in sorted(hit)]
-            raise NotMeasurable(
-                f"source atom {block} splits across target atoms {names}"
-            )
-        assigned[a] = hit.pop()
-
+    # one pass: each block's first point names its target atom, and every
+    # point of the block must land there too
     preimages = [[] for _ in range(target.n_atoms)]
-    for a, b in enumerate(assigned):
+    for a, block in enumerate(source.atoms):
+        b = atom_of[fn[block[0]]]
+        for p in block:
+            if atom_of[fn[p]] != b:
+                hit = sorted({atom_of[fn[x]] for x in block})
+                names = [target.atoms[c] for c in hit]
+                raise NotMeasurable(
+                    f"source atom {block} splits across target atoms {names}"
+                )
         preimages[b].append(a)
-    return MeasurableMap(
-        source, target, fn, tuple(tuple(block) for block in preimages)
-    )
+    return MeasurableMap(source, target, fn, tuple(map(tuple, preimages)))
 
 
 def identity_map(space: FiniteMeasureSpace) -> MeasurableMap:

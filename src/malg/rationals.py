@@ -87,9 +87,12 @@ class ExtRational:
 
     def __init__(self, value: RationalLike = 0, denominator: int | None = None):
         if denominator is not None:
-            if denominator == 0:
-                raise ZeroDenominator("denominator is zero")
-            frac = Fraction(value, denominator)
+            # Fraction checks the types before the zero, so a float on
+            # either side raises TypeError as at every other boundary
+            try:
+                frac = Fraction(value, denominator)
+            except ZeroDivisionError:
+                raise ZeroDenominator("denominator is zero") from None
         elif isinstance(value, ExtRational):
             frac = value._frac
         else:

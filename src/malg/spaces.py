@@ -35,7 +35,8 @@ def _coerce_weight(raw, position: int) -> ExtRational:
 
 
 # Atom bitmasks: bit i of a mask stands for atom i. Sets and algebra
-# elements store one; the helpers below are shared by spaces, algebra and maps.
+# elements store one; the helpers below are shared by spaces, algebra, maps
+# and metric.
 
 
 def _mask(ids: Iterable[int]) -> int:

@@ -99,6 +99,25 @@ def test_validate_non_measurable_map(capsys, tmp_path):
     assert "r1" in entry["detail"]
 
 
+def test_validate_bad_label_wins_over_split_atom(capsys, tmp_path):
+    doc = {
+        "source": {
+            "points": ["r1", "r2", "r3"],
+            "atoms": [["r1", "r2"], ["r3"]],
+            "weights": ["1", "1"],
+        },
+        "target": {"points": ["q1", "q2"], "atoms": [["q1"], ["q2"]], "weights": ["1", "2"]},
+        "fn": {"r1": "q1", "r2": "q2", "r3": "nope"},
+    }
+    path = tmp_path / "split-and-unknown.json"
+    path.write_text(json.dumps(doc))
+    code, report = run_cli(capsys, ["validate", str(path)])
+    assert code == 2
+    entry = report["results"]["files"][0]
+    assert entry["error"] == "UnknownPoint"
+    assert entry["detail"] == "unknown point 'nope'"
+
+
 def _malformed_document(kind, phi) -> bytes:
     if kind == "invalid-utf8":
         return b'{"source": "\xff\xfe", "target": {}, "fn": {}}'
@@ -654,11 +673,18 @@ PINNED_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("fmt", ["json", "text"])
-@pytest.mark.parametrize("case", sorted(PINNED_CASES))
-def test_report_bytes_pinned(
-    capsys, monkeypatch, tmp_path, phi, s1, s2_metric, s3_metric, case, fmt
-):
+# functor-check on the pinned id.json and phi.json with the planted
+# _drop_lowest_image_atom fault: these pin the witnesses of its violations,
+# which test_planted_fault_caught_by_functor_check checks by law name only
+PLANTED_FAULT_SHA256 = {
+    "json": "842b299594a0b868505b001bab22c3c9a5771c14ed0b8d9b0a53c071c45f7f53",
+    "text": "ab66971f9f640e5ae0e4124381083eafb366c1fce8ad8424178bd86113602c33",
+}
+
+
+@pytest.fixture
+def pinned_documents(monkeypatch, tmp_path, phi, s1, s2_metric, s3_metric):
+    """The documents the pinned cases name, in the working directory."""
     const = make_map(s3_metric.base, s2_metric.base, {"r1": "q1", "r2": "q1"})
     documents = {
         "s1.json": dumps_canonical(space_to_obj(s1)),
@@ -671,7 +697,94 @@ def test_report_bytes_pinned(
     for name, text in documents.items():
         (tmp_path / name).write_text(text)
     monkeypatch.chdir(tmp_path)
+
+
+def _report_digest(capsys, argv, exit_code) -> str:
+    assert main(argv) == exit_code
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("case", sorted(PINNED_CASES))
+def test_report_bytes_pinned(capsys, pinned_documents, case, fmt):
     argv, exit_code = PINNED_CASES[case]
-    assert main([*argv, "--format", fmt]) == exit_code
-    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    digest = _report_digest(capsys, [*argv, "--format", fmt], exit_code)
     assert digest == PINNED_SHA256[case, fmt]
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_planted_fault_report_bytes_pinned(capsys, monkeypatch, pinned_documents, fmt):
+    monkeypatch.setattr(malg.metric, "induced_homomorphism", _drop_lowest_image_atom)
+    argv = ["functor-check", "id.json", "phi.json", "--format", fmt]
+    assert _report_digest(capsys, argv, 1) == PLANTED_FAULT_SHA256[fmt]
+
+
+# One-operator mutants of the two functor-law checks. A mutant is killed
+# when functor-check's exit code or report bytes on the pinned id.json and
+# phi.json change, on the clean pair or under the planted fault; the last
+# field names why a survivor is equivalent there, and is None for a
+# mutant that must be killed.
+LAW_MUTANTS = {
+    "composition-compose-check-flipped": (
+        "composition_law_violations",
+        "hom_g.domain != hom_gf.domain",
+        "hom_g.domain == hom_gf.domain",
+        None,
+    ),
+    "composition-codomain-check-flipped": (
+        "composition_law_violations",
+        "hom_f.codomain != hom_gf.codomain",
+        "hom_f.codomain == hom_gf.codomain",
+        None,
+    ),
+    "composition-comparison-flipped": (
+        "composition_law_violations",
+        "via_composite != via_factors",
+        "via_composite == via_factors",
+        None,
+    ),
+    "composition-join-as-meet": (
+        "composition_law_violations", "via_factors |=", "via_factors &=", None
+    ),
+    "composition-join-as-xor": (
+        "composition_law_violations",
+        "via_factors |=",
+        "via_factors ^=",
+        # induced homs send distinct atoms to disjoint images, and the
+        # planted fault keeps them disjoint: ^= joins them as |= does
+        "equivalent over disjoint images",
+    ),
+    "identity-comparison-flipped": (
+        "identity_law_violations", "image != 1 << b", "image == 1 << b", None
+    ),
+    "identity-atom-shifted": (
+        "identity_law_violations", "1 << b", "2 << b", None
+    ),
+}
+
+
+def _functor_check_outputs(capsys, monkeypatch) -> list:
+    """functor-check's exit code and report on id.json and phi.json,
+    on the clean pair and then under the planted fault."""
+
+    def run():
+        code = main(["functor-check", "id.json", "phi.json"])
+        return code, capsys.readouterr().out
+
+    clean = run()
+    with monkeypatch.context() as patch:
+        patch.setattr(malg.metric, "induced_homomorphism", _drop_lowest_image_atom)
+        return [clean, run()]
+
+
+@pytest.mark.parametrize("name", sorted(LAW_MUTANTS))
+def test_law_mutant_changes_functor_check(
+    capsys, monkeypatch, pinned_documents, name
+):
+    fn_name, old, new, equivalent = LAW_MUTANTS[name]
+    expected = _functor_check_outputs(capsys, monkeypatch)
+    assert [code for code, _ in expected] == [0, 1]
+    mutant = mutated(getattr(malg.metric, fn_name), old, new)
+    monkeypatch.setattr(malg.metric, fn_name, mutant)
+    survived = _functor_check_outputs(capsys, monkeypatch) == expected
+    assert survived == (equivalent is not None)

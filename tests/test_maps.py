@@ -82,6 +82,15 @@ def test_make_map_unknown_points(s3, s2):
         make_map(s3, s2, {"r1": "q1", "r2": "nope"})
 
 
+def test_make_map_bad_label_wins_over_split_atom(s2):
+    # atom {r1, r2} splits across q1 and q2, and r3's image is unknown:
+    # every label is checked before any block
+    source = make_space(["r1", "r2", "r3"], [["r1", "r2"], ["r3"]], [1, 1])
+    with pytest.raises(UnknownPoint) as exc:
+        make_map(source, s2, {"r1": "q1", "r2": "q2", "r3": "nope"})
+    assert str(exc.value) == "unknown point 'nope'"
+
+
 def test_pushforward_examples(phi, s2, s3_to_q1):
     assert pushforward(phi).masses == (ExtRational(5, 6), ExtRational(0))
     ident = identity_map(s2)

@@ -12,6 +12,7 @@ from malg import (
     ArityMismatch,
     BooleanHom,
     CompressionResult,
+    ForeignElement,
     InvalidRational,
     MeasureAlgebra,
     MetricAxiomViolation,
@@ -453,6 +454,34 @@ def test_corrupted_hom_fails_contravariance(phi, s2):
     assert violations
     assert violations[0].law == "contravariant-composition"
     assert "element" in violations[0].witness
+
+
+def test_composition_law_rejects_homs_that_do_not_compose(phi, s2):
+    swap = make_map(s2, s2, {"q1": "q2", "q2": "q1"})
+    hom_gf = induced_homomorphism(compose(swap, phi))
+    hom_f, hom_g = induced_homomorphism(phi), induced_homomorphism(swap)
+    message = "element is not in the hom's domain algebra"
+    # g's codomain is not f's domain
+    with pytest.raises(ForeignElement, match=message):
+        composition_law_violations(hom_gf, hom_f, hom_f)
+    # g's domain is not the composite's domain
+    with pytest.raises(ForeignElement, match=message):
+        composition_law_violations(hom_gf, hom_g, hom_f)
+    # the factors land in s2's algebra, the composite in s1's
+    with pytest.raises(ForeignElement, match="land in different algebras"):
+        composition_law_violations(hom_f, hom_g, hom_g)
+
+
+def test_composition_witness_is_lowest_atom_in_any_action_order(s2):
+    ident = induced_homomorphism(identity_map(s2))
+    action = ident.atom_action
+    # both atoms fail; the dict lists atom 1 first
+    swapped = BooleanHom(ident.domain, ident.codomain, {1: action[0], 0: action[1]})
+    assert list(swapped.atom_action) == [1, 0]
+    violations = composition_law_violations(swapped, ident, ident)
+    assert [v.witness for v in violations] == [
+        {"element": [0], "via_composite": [1], "via_factors": [0]}
+    ]
 
 
 def _swap_lowest_actions(hom):

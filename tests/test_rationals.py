@@ -99,8 +99,15 @@ def test_to_fraction_types():
 
 
 def test_zero_denominator_at_construction():
-    with pytest.raises(ZeroDenominator):
+    with pytest.raises(ZeroDenominator, match="denominator is zero"):
         ExtRational(1, 0)
+
+
+@pytest.mark.parametrize("value, denominator", [(1, 0.0), (1.5, 0), (1, 2.0)])
+def test_float_with_denominator_is_a_type_error(value, denominator):
+    # the types are checked before the zero: a float is never a MalgError
+    with pytest.raises(TypeError):
+        ExtRational(value, denominator)
 
 
 def test_addition():
