@@ -123,7 +123,10 @@ def make_map(
 
 
 def identity_map(space: FiniteMeasureSpace) -> MeasurableMap:
-    return make_map(space, space, {p: p for p in space.points})
+    """The identity on `space`; each atom is its own preimage, so the map
+    is measurable by construction and skips make_map's checks."""
+    preimages = tuple((a,) for a in range(space.n_atoms))
+    return MeasurableMap(space, space, {p: p for p in space.points}, preimages)
 
 
 def compose(g: MeasurableMap, f: MeasurableMap) -> MeasurableMap:
@@ -219,35 +222,42 @@ def check_well_definedness(phi: MeasurableMap) -> bool:
 class BooleanHom:
     """Action of a map on measure algebras, from target algebra to source.
 
-    Determined by its values on atoms of the domain; applying it to an
-    element takes the join of the atom actions.
+    Determined by its values on atoms of the domain, held as int masks:
+    `atom_masks[b]` is the codomain atom mask of atom b's image. Applying
+    it to an element takes the join of its atoms' images.
     """
 
-    __slots__ = ("domain", "codomain", "atom_action")
+    __slots__ = ("domain", "codomain", "atom_masks")
 
-    atom_action: dict[int, AlgebraElement]
+    atom_masks: dict[int, int]
 
     def __init__(
         self,
         domain: MeasureAlgebra,
         codomain: MeasureAlgebra,
-        atom_action: Mapping[int, AlgebraElement],
+        atom_masks: Mapping[int, int],
     ):
-        if sorted(atom_action) != list(domain.nonnull_atoms):
-            raise ValueError("atom_action must cover exactly the domain atoms")
-        for elem in atom_action.values():
-            if elem.algebra != codomain:
-                raise ForeignElement("atom action lands outside the codomain")
+        if sorted(atom_masks) != list(domain.nonnull_atoms):
+            raise ValueError("atom_masks must cover exactly the domain atoms")
+        top = codomain._top
+        for mask in atom_masks.values():
+            if type(mask) is not int:
+                raise TypeError(f"an atom image mask must be an int, not {mask!r}")
+            # a negative mask has infinitely many bits: _ids would never stop on it
+            if mask < 0 or mask & ~top:
+                raise ValueError(
+                    f"atom image mask {mask:#b} has null or out-of-range atoms"
+                )
         self.domain = domain
         self.codomain = codomain
-        self.atom_action = dict(atom_action)
+        self.atom_masks = dict(atom_masks)
 
     def apply(self, elem: AlgebraElement) -> AlgebraElement:
         if elem.algebra != self.domain:
             raise ForeignElement("element is not in the hom's domain algebra")
         image = 0
         for b in _ids(elem.mask):
-            image |= self.atom_action[b].mask
+            image |= self.atom_masks[b]
         return AlgebraElement(self.codomain, image)
 
     def __eq__(self, other) -> bool:
@@ -256,18 +266,19 @@ class BooleanHom:
         return (
             self.domain == other.domain
             and self.codomain == other.codomain
-            and self.atom_action == other.atom_action
+            and self.atom_masks == other.atom_masks
         )
 
     def __repr__(self) -> str:
-        return f"BooleanHom({len(self.atom_action)} atom actions)"
+        return f"BooleanHom({len(self.atom_masks)} atom images)"
 
 
 def induced_homomorphism(phi: MeasurableMap) -> BooleanHom:
     """The contravariant hom from the target algebra to the source algebra.
 
     Exists exactly when the map is inverse-nil-preserving; raises
-    NotInverseNilPreserving otherwise.
+    NotInverseNilPreserving otherwise. Each non-null target atom goes to
+    the mask of its preimage with the null source atoms dropped.
     """
     if not is_inverse_nil_preserving(phi):
         raise NotInverseNilPreserving(
@@ -275,11 +286,10 @@ def induced_homomorphism(phi: MeasurableMap) -> BooleanHom:
         )
     domain = build_algebra(phi.target)
     codomain = build_algebra(phi.source)
-    action = {
-        b: AlgebraElement(codomain, _mask(phi.atom_preimages[b]) & codomain._top)
-        for b in domain.nonnull_atoms
-    }
-    return BooleanHom(domain, codomain, action)
+    pre, top = phi.atom_preimages, codomain._top
+    return BooleanHom(
+        domain, codomain, {b: _mask(pre[b]) & top for b in domain.nonnull_atoms}
+    )
 
 
 @dataclass(frozen=True)
@@ -368,7 +378,7 @@ def lipschitz_fast(phi: MeasurableMap) -> CompressionResult:
     hom = induced_homomorphism(phi)
     num, den = 0, 1
     for b in hom.domain.fin_atoms:
-        image_mass = mu_bar(hom.atom_action[b])
+        image_mass = mu_bar(AlgebraElement(hom.codomain, hom.atom_masks[b]))
         if image_mass.is_infinite:
             return UNBOUNDED  # finite ideal not preserved
         image = image_mass.as_fraction()
@@ -419,7 +429,7 @@ def lipschitz_bruteforce(phi: MeasurableMap, budget: int = 12) -> BruteForceRepo
     # source atom masks
     fin = domain.fin_atoms
     nf = len(fin)
-    action_masks = [hom.atom_action[b].mask for b in fin]
+    action_masks = [hom.atom_masks[b] for b in fin]
     src_weights = phi.source.weights
 
     # image under the hom, per finite-ideal mask

@@ -211,10 +211,10 @@ def composition_law_violations(
             "the composite and the factors land in different algebras"
         )
     for b in hom_gf.domain.nonnull_atoms:
-        via_composite = hom_gf.atom_action[b].mask
+        via_composite = hom_gf.atom_masks[b]
         via_factors = 0
-        for c in _ids(hom_g.atom_action[b].mask):
-            via_factors |= hom_f.atom_action[c].mask
+        for c in _ids(hom_g.atom_masks[b]):
+            via_factors |= hom_f.atom_masks[c]
         if via_composite != via_factors:
             return [
                 LawViolation(
@@ -233,7 +233,7 @@ def identity_law_violations(space: FiniteMeasureSpace) -> list[LawViolation]:
     """The hom induced by the identity map must send each atom to itself."""
     hom = induced_homomorphism(identity_map(space))
     for b in hom.domain.nonnull_atoms:
-        image = hom.atom_action[b].mask
+        image = hom.atom_masks[b]
         if image != 1 << b:
             return [
                 LawViolation(

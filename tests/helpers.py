@@ -35,7 +35,6 @@ import malg
 
 from malg import (
     UNBOUNDED,
-    AlgebraElement,
     BooleanHom,
     CompressionResult,
     ExtRational,
@@ -128,11 +127,8 @@ def assert_table_matches_rho(algebra: MeasureAlgebra, table: list[int], denom: i
 
 def drop_lowest_image_atom(hom: BooleanHom) -> BooleanHom:
     """A planted fault: each atom's image loses its lowest source atom."""
-    action = {
-        b: AlgebraElement(hom.codomain, e.mask & (e.mask - 1))
-        for b, e in hom.atom_action.items()
-    }
-    return BooleanHom(hom.domain, hom.codomain, action)
+    masks = {b: m & (m - 1) for b, m in hom.atom_masks.items()}
+    return BooleanHom(hom.domain, hom.codomain, masks)
 
 
 def mutated(fn, old: str, new: str):

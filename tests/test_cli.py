@@ -10,6 +10,7 @@ import pytest
 
 import malg.cli
 import malg.maps
+import malg.spaces
 import malg.metric
 from malg import (
     AlgebraElement,
@@ -787,4 +788,76 @@ def test_law_mutant_changes_functor_check(
     mutant = mutated(getattr(malg.metric, fn_name), old, new)
     monkeypatch.setattr(malg.metric, fn_name, mutant)
     survived = _functor_check_outputs(capsys, monkeypatch) == expected
+    assert survived == (equivalent is not None)
+
+
+# One-operator mutants of induced_homomorphism's mask expression
+# `_mask(pre[b]) & top` and of its INP guard; `_mask`'s join is mutated
+# where malg.maps reads it. A mutant is killed when the exit code or the
+# report bytes change, of theorem-check on 30 seeded instances or of
+# functor-check on the pinned id.json and phi.json; the last field names
+# why a survivor is equivalent there, and is None for a mutant that must
+# be killed.
+HOM_MUTANTS = {
+    "induced-top-dropped": (
+        malg.maps,
+        "induced_homomorphism",
+        "_mask(pre[b]) & top",
+        "_mask(pre[b])",
+        None,
+    ),
+    "induced-meet-as-join": (
+        malg.maps,
+        "induced_homomorphism",
+        "_mask(pre[b]) & top",
+        "_mask(pre[b]) | top",
+        None,
+    ),
+    "induced-inp-guard-negated": (
+        malg.maps,
+        "induced_homomorphism",
+        "if not is_inverse_nil_preserving(phi):",
+        "if is_inverse_nil_preserving(phi):",
+        None,
+    ),
+    "mask-join-as-xor": (
+        malg.spaces,
+        "_mask",
+        "mask |= 1 << i",
+        "mask ^= 1 << i",
+        # a preimage block lists each source atom once, as does every other
+        # caller in malg.maps: ^= sets the same bits as |=
+        "equivalent over distinct atom ids",
+    ),
+}
+
+
+def _hom_check_outputs(capsys) -> list:
+    """Exit code and report of theorem-check on 30 seeded instances and
+    of functor-check on id.json and phi.json; an exception that ends a
+    run stands in for its exit code."""
+    outputs = []
+    for argv in (
+        ["theorem-check", "--trials", "30", "--seed", "7"],
+        ["functor-check", "id.json", "phi.json"],
+    ):
+        try:
+            code = main(argv)
+        except Exception as exc:
+            code = type(exc).__name__
+        outputs.append((code, capsys.readouterr().out))
+    return outputs
+
+
+@pytest.mark.parametrize("name", sorted(HOM_MUTANTS))
+def test_hom_mutant_changes_reports(capsys, monkeypatch, pinned_documents, name):
+    module, fn_name, old, new, equivalent = HOM_MUTANTS[name]
+    expected = _hom_check_outputs(capsys)
+    assert [code for code, _ in expected] == [0, 0]
+    mutant = mutated(getattr(module, fn_name), old, new)
+    # metric and cli import induced_homomorphism by name
+    for target in (malg.maps, malg.metric, malg.cli):
+        if hasattr(target, fn_name):
+            monkeypatch.setattr(target, fn_name, mutant)
+    survived = _hom_check_outputs(capsys) == expected
     assert survived == (equivalent is not None)

@@ -62,6 +62,16 @@ def test_identity_map_diagonal(s2):
     assert ident.atom_preimages == ((0,), (1,))
 
 
+def test_identity_map_matches_make_map(fixture_spaces):
+    # identity_map skips make_map's checks; on spaces with null, infinite
+    # and multi-point atoms, and on the empty space, it builds the same map
+    for space in fixture_spaces:
+        ident = identity_map(space)
+        built = make_map(space, space, {p: p for p in space.points})
+        assert ident.point_fn == built.point_fn
+        assert ident.atom_preimages == built.atom_preimages
+
+
 def test_full_atom_preimage_is_measurable(s2, s1):
     back = make_map(s2, s1, {"q1": "p1", "q2": "p3"})
     assert back.atom_preimages == ((0,), (1,), ())
@@ -167,6 +177,33 @@ def test_hom_apply(phi):
     assert hom.apply(dom.zero) == hom.codomain.zero
     with pytest.raises(ForeignElement):
         hom.apply(hom.codomain.zero)
+
+
+def test_boolean_hom_rejects_bad_masks(phi):
+    hom = induced_homomorphism(phi)
+    dom, cod = hom.domain, hom.codomain
+    masks = hom.atom_masks
+    assert masks == {0: 0b011, 1: 0}  # p4, the preimage of q2, is null
+    assert BooleanHom(dom, cod, masks) == hom
+    # the README's no-floats rule: a mask is exactly an int, so floats,
+    # bools, Fractions and elements are refused
+    for bad in (3.0, True, Fraction(3), cod.element((0, 1))):
+        with pytest.raises(TypeError, match="must be an int"):
+            BooleanHom(dom, cod, {**masks, 0: bad})
+    # a negative mask (which _ids would walk forever), the null atom p4,
+    # and a bit past the codomain's atoms
+    for bad in (-1, -0b100, 0b111, 0b1000):
+        with pytest.raises(ValueError, match="null or out-of-range"):
+            BooleanHom(dom, cod, {**masks, 0: bad})
+    # the keys are exactly the domain's non-null atoms
+    for keys in ((0,), (0, 1, 2), (1, 2)):
+        with pytest.raises(ValueError, match="cover exactly"):
+            BooleanHom(dom, cod, dict.fromkeys(keys, 0))
+    # a domain with a null atom: its key is refused too
+    back = induced_homomorphism(identity_map(phi.source))
+    assert list(back.atom_masks) == [0, 1]
+    with pytest.raises(ValueError, match="cover exactly"):
+        BooleanHom(back.domain, back.codomain, {**back.atom_masks, 2: 0})
 
 
 def test_compression_worked_example(phi):
@@ -363,7 +400,7 @@ def test_check_hom_laws_catch_duplicated_image(phi):
     corrupted = BooleanHom(
         hom.domain,
         hom.codomain,
-        {0: hom.atom_action[0], 1: hom.atom_action[0]},
+        {0: hom.atom_masks[0], 1: hom.atom_masks[0]},
     )
     report = check_hom_laws(corrupted)
     assert not report.ok
@@ -380,7 +417,7 @@ def test_check_hom_laws_catch_duplicated_image(phi):
 
 
 class _WrongOnPair(BooleanHom):
-    """Correct atom actions, but apply maps the element {0, 1} to the image
+    """Correct atom images, but apply maps the element {0, 1} to the image
     of {0} alone; counts its own apply calls."""
 
     def apply(self, elem):
@@ -393,7 +430,7 @@ class _WrongOnPair(BooleanHom):
 def test_check_hom_laws_apply_once_per_element():
     space = make_space(["a", "b", "c"], [["a"], ["b"], ["c"]], [1, 2, 3])
     hom = induced_homomorphism(identity_map(space))
-    faulty = _WrongOnPair(hom.domain, hom.codomain, hom.atom_action)
+    faulty = _WrongOnPair(hom.domain, hom.codomain, hom.atom_masks)
     report = check_hom_laws(faulty)
     assert faulty.calls == 2**3
     assert [(v.law, v.witness) for v in report.violations] == [
@@ -419,7 +456,7 @@ def test_swapped_images_still_lawful(s2):
     swapped = BooleanHom(
         hom.domain,
         hom.codomain,
-        {0: hom.atom_action[1], 1: hom.atom_action[0]},
+        {0: hom.atom_masks[1], 1: hom.atom_masks[0]},
     )
     assert check_hom_laws(swapped).ok
 
@@ -474,17 +511,18 @@ def test_check_hom_laws_matches_pair_scan_on_small_homs():
     n_homs = 0
     for domain, codomain in product(algebras, repeat=2):
         atoms = domain.nonnull_atoms
-        for images in product(codomain.all_elements(), repeat=len(atoms)):
+        masks = [e.mask for e in codomain.all_elements()]
+        for images in product(masks, repeat=len(atoms)):
             hom = BooleanHom(domain, codomain, dict(zip(atoms, images)))
             laws |= _assert_matches_pair_scan(hom)
             n_homs += 1
     assert n_homs == 875
-    # a join of atom actions always keeps zero and joins
+    # a join of atom images always keeps zero and joins
     assert laws == {"preserves-top", "preserves-meet", "preserves-complement"}
 
 
 class _FromTable(BooleanHom):
-    """Ignores its atom actions: apply reads each image off `table`, a
+    """Ignores its atom masks: apply reads each image off `table`, a
     dict from domain masks to codomain masks, so it may break any law."""
 
     def apply(self, elem):
@@ -538,9 +576,7 @@ def test_check_hom_laws_matches_pair_scan_on_faulty_tables():
     for _ in range(40):
         for domain, codomain in product(algebras, repeat=2):
             for kind, table in _faulty_tables(rng, domain, codomain):
-                hom = _FromTable(
-                    domain, codomain, {b: codomain.zero for b in domain.nonnull_atoms}
-                )
+                hom = _FromTable(domain, codomain, dict.fromkeys(domain.nonnull_atoms, 0))
                 hom.table = table
                 laws = _assert_matches_pair_scan(hom)
                 if kind == "join-form":

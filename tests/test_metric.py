@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from malg import (
     UNBOUNDED,
+    AlgebraElement,
     ArityMismatch,
     BooleanHom,
     CompressionResult,
@@ -20,6 +21,7 @@ from malg import (
     NotInverseNilPreserving,
     SpaceMismatch,
     UnknownPoint,
+    build_algebra,
     classify,
     compose,
     compression,
@@ -437,6 +439,33 @@ def test_contravariance_builds_one_algebra_per_space(monkeypatch):
     assert checked >= 10
 
 
+def test_lawful_contravariance_check_builds_no_element(monkeypatch):
+    # the homs hold int masks and the laws compare them, so a lawful
+    # check creates no AlgebraElement at all
+    created = []
+    original = AlgebraElement.__init__
+
+    def counting_init(self, algebra, mask):
+        created.append(mask)
+        original(self, algebra, mask)
+
+    monkeypatch.setattr(AlgebraElement, "__init__", counting_init)
+    checked = 0
+    for index in range(40):
+        f, g = random_composable_pair(22, index)
+        try:
+            report = contravariance_check(f, g)
+        except NotInverseNilPreserving:
+            continue
+        assert report.ok
+        checked += 1
+    assert checked >= 10
+    assert created == []
+    # the count is live: building one element shows in it
+    build_algebra(f.source).zero
+    assert created == [0]
+
+
 def test_corrupted_hom_fails_contravariance(phi, s2):
     swap = make_map(s2, s2, {"q1": "q2", "q2": "q1"})
     gf = compose(swap, phi)
@@ -448,7 +477,7 @@ def test_corrupted_hom_fails_contravariance(phi, s2):
     corrupted_f = BooleanHom(
         hom_f.domain,
         hom_f.codomain,
-        {0: hom_f.atom_action[1], 1: hom_f.atom_action[0]},
+        {0: hom_f.atom_masks[1], 1: hom_f.atom_masks[0]},
     )
     violations = composition_law_violations(hom_gf, corrupted_f, hom_g)
     assert violations
@@ -474,10 +503,10 @@ def test_composition_law_rejects_homs_that_do_not_compose(phi, s2):
 
 def test_composition_witness_is_lowest_atom_in_any_action_order(s2):
     ident = induced_homomorphism(identity_map(s2))
-    action = ident.atom_action
+    masks = ident.atom_masks
     # both atoms fail; the dict lists atom 1 first
-    swapped = BooleanHom(ident.domain, ident.codomain, {1: action[0], 0: action[1]})
-    assert list(swapped.atom_action) == [1, 0]
+    swapped = BooleanHom(ident.domain, ident.codomain, {1: masks[0], 0: masks[1]})
+    assert list(swapped.atom_masks) == [1, 0]
     violations = composition_law_violations(swapped, ident, ident)
     assert [v.witness for v in violations] == [
         {"element": [0], "via_composite": [1], "via_factors": [0]}
@@ -486,11 +515,11 @@ def test_composition_witness_is_lowest_atom_in_any_action_order(s2):
 
 def _swap_lowest_actions(hom):
     # the two lowest atoms trade images: still a lawful hom
-    action = dict(hom.atom_action)
-    if len(action) >= 2:
-        a, b = sorted(action)[:2]
-        action[a], action[b] = action[b], action[a]
-    return BooleanHom(hom.domain, hom.codomain, action)
+    masks = dict(hom.atom_masks)
+    if len(masks) >= 2:
+        a, b = sorted(masks)[:2]
+        masks[a], masks[b] = masks[b], masks[a]
+    return BooleanHom(hom.domain, hom.codomain, masks)
 
 
 def _check_against_walk(violations, differing) -> bool:
