@@ -14,7 +14,10 @@ library's integer check; `general_parse_rational` is the rational-string
 parser without a short path, the reference for the library's parser;
 `pair_scan_hom_laws` is the hom-law check over every ordered pair of
 domain elements, the reference for the library's linear join and meet
-certificates.
+certificates; `enumerated_null_ideal_preserved` and
+`enumerated_well_definedness` walk every null target set and every pair
+of target sets equal mod null, the references for the library's
+one-pullback null-ideal laws.
 """
 
 from __future__ import annotations
@@ -46,7 +49,9 @@ from malg import (
     MetricAxiomViolation,
     rho,
 )
+from malg.maps import _pullback
 from malg.rationals import INF_TOKEN, MAX_DIGITS
+from malg.spaces import _mask, _submasks
 
 
 def oracle_pushforward_masses(phi: MeasurableMap) -> list[ExtRational]:
@@ -228,6 +233,39 @@ def pair_scan_hom_laws(hom: BooleanHom) -> LawReport:
         })
         for law, witness in found
     ))
+
+
+def enumerated_null_ideal_preserved(phi: MeasurableMap) -> bool:
+    """null_ideal_preserved as it was before its one pullback.
+
+    Enumerates all null target sets (exactly the unions of null atoms) and
+    measures their preimages; agrees with is_inverse_nil_preserving.
+    """
+    nonnull_src = _mask(phi.source.nonnull_atom_ids)
+    return not any(
+        _pullback(phi, n) & nonnull_src
+        for n in _submasks(_mask(phi.target.null_atom_ids))
+    )
+
+
+def enumerated_well_definedness(phi: MeasurableMap) -> bool:
+    """check_well_definedness as it was before its one pullback.
+
+    Enumerates every pair (S u N1, S u N2) with S over non-null target
+    atom subsets and N1, N2 over null-atom subsets; those are exactly the
+    pairs of target sets whose symmetric difference is null.
+    """
+    nonnull_src = _mask(phi.source.nonnull_atom_ids)
+    null_pres = [
+        _pullback(phi, n) for n in _submasks(_mask(phi.target.null_atom_ids))
+    ]
+    for s in _submasks(_mask(phi.target.nonnull_atom_ids)):
+        base = _pullback(phi, s)
+        for p1 in null_pres:
+            for p2 in null_pres:
+                if ((base | p1) ^ (base | p2)) & nonnull_src:
+                    return False
+    return True
 
 
 def primes_from(start: int, count: int) -> list[int]:

@@ -3,12 +3,13 @@
 import random
 import time
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from itertools import product
 from operator import and_, or_
 
 import pytest
 
+import malg.maps
 from malg import (
     INF,
     UNBOUNDED,
@@ -42,10 +43,15 @@ from malg import (
 from malg.maps import _joins_certified, _meets_certified
 
 from helpers import (
+    enumerated_null_ideal_preserved,
+    enumerated_well_definedness,
+    mutated,
     oracle_compression,
     oracle_pushforward_masses,
     pair_scan_hom_laws,
+    python_child_output,
 )
+from test_small_scope import build_map, canonical_forms
 
 
 @pytest.fixture
@@ -153,6 +159,131 @@ def test_well_definedness_witness_values(psi, s1, s2):
     pre = {q for q in s2.points if psi.point_fn[q] in null_set.member_points()}
     assert pre == {"q1"}
     assert measure(s2, s2.atom_set([0])) == ExtRational(1)
+
+
+@cache
+def _null_law_maps() -> tuple:
+    """(map, is_inverse_nil_preserving) for all 21,900 small-scope forms
+    and 1,200 random instances (seeds 0, 7 and 11, a null target atom
+    forced on even indices)."""
+    maps = [build_map(form) for form in canonical_forms()]
+    maps += [
+        random_instance(seed, i, force_null_target=(i % 2 == 0))
+        for seed in (0, 7, 11)
+        for i in range(400)
+    ]
+    return tuple((phi, is_inverse_nil_preserving(phi)) for phi in maps)
+
+
+def _null_law_disagreements() -> int:
+    """Maps on which malg.maps' two null-ideal laws, read through the
+    module so a planted fault takes effect, differ from the per-atom
+    weight loop."""
+    return sum(
+        not (malg.maps.null_ideal_preserved(phi)
+             == malg.maps.check_well_definedness(phi)
+             == inp)
+        for phi, inp in _null_law_maps()
+    )
+
+
+def test_null_laws_match_enumerations():
+    maps = _null_law_maps()
+    assert len(maps) == 23_100
+    assert sum(not inp for _, inp in maps) == 6_924  # 550 of them random instances
+    for phi, inp in maps:
+        assert (
+            null_ideal_preserved(phi)
+            == enumerated_null_ideal_preserved(phi)
+            == check_well_definedness(phi)
+            == enumerated_well_definedness(phi)
+            == inp
+        ), phi
+
+
+# One-operator mutants of the one-pullback null-ideal laws and of
+# `_pullback`. A mutant is killed when the two laws and the per-atom weight
+# loop disagree on some map of _null_law_maps; the last field names why a
+# survivor is equivalent there, and is None for a mutant that must be
+# killed. The count of disagreeing maps (of 23,100) is noted for each.
+NULL_LAW_MUTANTS = {
+    "null-ideal-negated": (  # 23,100
+        "null_ideal_preserved", "return _weighted_sum", "return not _weighted_sum",
+        None,
+    ),
+    "null-ideal-pullback-emptied": (  # 6,924
+        "null_ideal_preserved",
+        "_pullback(phi, null_tgt)",
+        "_pullback(phi, null_tgt) & 0",
+        None,
+    ),
+    "well-defined-mod-null-as-join": (  # 15,723
+        "check_well_definedness", "& nonnull_src", "| nonnull_src", None
+    ),
+    "well-defined-null-kept": (  # 6,924
+        "check_well_definedness", "top ^ null_tgt", "top", None
+    ),
+    "well-defined-null-joined": (  # 6,924
+        "check_well_definedness", "top ^ null_tgt", "top | null_tgt", None
+    ),
+    "well-defined-difference-as-join": (  # 15,555
+        "check_well_definedness", ") ^ _pullback", ") | _pullback", None
+    ),
+    "well-defined-not-dropped": (  # 23,100
+        "check_well_definedness", "return not", "return", None
+    ),
+    "well-defined-top-short": (
+        "check_well_definedness",
+        "(1 << phi.target.n_atoms) - 1",
+        "(1 << phi.target.n_atoms) - 2",
+        # the XOR of the two preimages is the preimage of the null atoms
+        # whatever top is, so top without atom 0 decides the law as well
+        "equivalent: the XOR does not depend on top",
+    ),
+    "pullback-join-as-meet": ("_pullback", "pre |=", "pre &=", None),  # 6,924
+    "pullback-join-as-xor": (
+        "_pullback",
+        "pre |=",
+        "pre ^=",
+        # the preimage blocks of distinct target atoms are disjoint
+        "equivalent over disjoint preimage blocks",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NULL_LAW_MUTANTS))
+def test_null_law_mutant_breaks_agreement(monkeypatch, name):
+    fn_name, old, new, equivalent = NULL_LAW_MUTANTS[name]
+    _null_law_maps()  # built with the clean code
+    mutant = mutated(getattr(malg.maps, fn_name), old, new)
+    monkeypatch.setattr(malg.maps, fn_name, mutant)
+    survived = _null_law_disagreements() == 0
+    assert survived == (equivalent is not None)
+
+
+def test_null_laws_bounded_cost_on_hostile_target():
+    # 40 null and 40 non-null target atoms: enumerating the null target
+    # sets and the pairs equal mod null would take 2^40 * 4^40 steps
+    script = """if True:
+        from malg import check_well_definedness, make_map, make_space
+        from malg import null_ideal_preserved
+
+        def discrete(prefix):
+            points = [f"{prefix}{i:02d}" for i in range(80)]
+            space = make_space(points, [[x] for x in points], [0] * 40 + [1] * 40)
+            return points, space
+
+        p, source = discrete("p")
+        q, target = discrete("q")
+        lawful = dict(zip(p, q))
+        # p40 carries mass and lands on the null atom q00
+        unlawful = {**lawful, "p00": "q40", "p40": "q00"}
+        for point_fn in (lawful, unlawful):
+            phi = make_map(source, target, point_fn)
+            print(null_ideal_preserved(phi), check_well_definedness(phi))
+    """
+    out = python_child_output(["-c", script], timeout=20, max_memory=256 << 20)
+    assert out.split() == [b"True", b"True", b"False", b"False"]
 
 
 def test_induced_homomorphism(phi, s2):
@@ -335,8 +466,9 @@ def test_lipschitz_bruteforce_budget():
 
 
 def test_lipschitz_bruteforce_budget_must_be_int(s2):
-    # no float at an API boundary: 12.5 would otherwise act as a budget of 12
-    for budget in (12.5, 2.0, Fraction(12), "12"):
+    # no float at an API boundary: 12.5 would otherwise act as a budget of
+    # 12, and True as a budget of 1
+    for budget in (12.5, 2.0, Fraction(12), "12", True, False):
         with pytest.raises(TypeError):
             lipschitz_bruteforce(identity_map(s2), budget=budget)
 

@@ -92,6 +92,33 @@ def test_all_matches_package_imports():
     assert set(malg.__all__) == imported
 
 
+def test_inp_formulations_are_independent():
+    # acceptance criterion 2 asserts that the three formulations agree,
+    # which shows something only while each computes on its own
+    three = {
+        "is_inverse_nil_preserving",
+        "null_ideal_preserved",
+        "check_well_definedness",
+    }
+    tree = dict(_trees())["maps.py"]
+    bodies = {
+        node.name: node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name in three
+    }
+    assert set(bodies) == three
+    for name, body in bodies.items():
+        for node in ast.walk(body):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = func.id if isinstance(func, ast.Name) else getattr(
+                    func, "attr", None
+                )
+                assert called not in three - {name}, (
+                    f"maps.py:{node.lineno} {name} calls {called}"
+                )
+
+
 def _quoted_annotations(tree):
     """Each annotation written as a string, such as "AlgebraElement", parsed."""
     for node in ast.walk(tree):
