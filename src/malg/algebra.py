@@ -37,11 +37,18 @@ class MeasureAlgebra:
     def __init__(self, space: FiniteMeasureSpace):
         self.space = space
         self.nonnull_atoms = space.nonnull_atom_ids
-        self.fin_atoms = tuple(
-            i for i in self.nonnull_atoms if not space.weights[i].is_infinite
-        )
-        self._top = _mask(self.nonnull_atoms)
-        self._fin = _mask(self.fin_atoms)
+        weights = space.weights
+        fin_atoms = []
+        top = fin = 0
+        for i in self.nonnull_atoms:
+            bit = 1 << i
+            top |= bit
+            if not weights[i].is_infinite:
+                fin_atoms.append(i)
+                fin |= bit
+        self.fin_atoms = tuple(fin_atoms)
+        self._top = top
+        self._fin = fin
 
     @property
     def size(self) -> int:
@@ -88,6 +95,8 @@ class AlgebraElement:
     __slots__ = ("algebra", "mask")
 
     def __init__(self, algebra: MeasureAlgebra, mask: int):
+        if type(mask) is not int:
+            raise TypeError(f"an element's atom mask must be an int, not {mask!r}")
         # a negative mask has infinitely many bits: _ids would never stop on it
         if mask < 0 or mask & ~algebra._top:
             raise ValueError(f"atom mask {mask:#b} has null or out-of-range atoms")

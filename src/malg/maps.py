@@ -46,7 +46,8 @@ class MeasurableMap:
 
     `atom_preimages[b]` lists (sorted) the source atoms mapped into target
     atom b; the blocks are disjoint and jointly cover every source atom.
-    Build with :func:`make_map`, which verifies measurability.
+    Build with :func:`make_map`, which verifies measurability. The map
+    keeps the `point_fn` dict it is given; each builder passes a fresh one.
     """
 
     __slots__ = ("source", "target", "point_fn", "atom_preimages")
@@ -57,7 +58,7 @@ class MeasurableMap:
     def __init__(self, source, target, point_fn, atom_preimages):
         self.source = source
         self.target = target
-        self.point_fn = dict(point_fn)
+        self.point_fn = point_fn
         self.atom_preimages = atom_preimages
 
     def __call__(self, point: str) -> str:
@@ -125,8 +126,9 @@ def make_map(
 def identity_map(space: FiniteMeasureSpace) -> MeasurableMap:
     """The identity on `space`; each atom is its own preimage, so the map
     is measurable by construction and skips make_map's checks."""
-    preimages = tuple((a,) for a in range(space.n_atoms))
-    return MeasurableMap(space, space, {p: p for p in space.points}, preimages)
+    points = space.points
+    preimages = tuple(zip(range(space.n_atoms)))  # ((0,), (1,), ...)
+    return MeasurableMap(space, space, dict(zip(points, points)), preimages)
 
 
 def compose(g: MeasurableMap, f: MeasurableMap) -> MeasurableMap:
@@ -180,9 +182,13 @@ def is_inverse_nil_preserving(phi: MeasurableMap) -> bool:
 
 def _pullback(phi: MeasurableMap, target_mask: int) -> int:
     """Mask of the source atoms mapped into the target atoms of the mask."""
+    blocks = phi.atom_preimages
     pre = 0
-    for b in _ids(target_mask):
-        pre |= _mask(phi.atom_preimages[b])
+    while target_mask:
+        low = target_mask & -target_mask
+        for a in blocks[low.bit_length() - 1]:
+            pre |= 1 << a
+        target_mask ^= low
     return pre
 
 
@@ -236,14 +242,26 @@ class BooleanHom:
         if sorted(atom_masks) != list(domain.nonnull_atoms):
             raise ValueError("atom_masks must cover exactly the domain atoms")
         top = codomain._top
+        union = 0
         for mask in atom_masks.values():
             if type(mask) is not int:
-                raise TypeError(f"an atom image mask must be an int, not {mask!r}")
-            # a negative mask has infinitely many bits: _ids would never stop on it
-            if mask < 0 or mask & ~top:
-                raise ValueError(
-                    f"atom image mask {mask:#b} has null or out-of-range atoms"
-                )
+                union = -1  # not a valid union: the walk below names the mask
+                break
+            union |= mask
+        # a negative mask has infinitely many bits: _ids would never stop
+        # on it. The OR of the masks is negative or leaves top exactly when
+        # some mask does; only then are the masks walked, in order, to name
+        # the first bad one
+        if union < 0 or union & ~top:
+            for mask in atom_masks.values():
+                if type(mask) is not int:
+                    raise TypeError(
+                        f"an atom image mask must be an int, not {mask!r}"
+                    )
+                if mask < 0 or mask & ~top:
+                    raise ValueError(
+                        f"atom image mask {mask:#b} has null or out-of-range atoms"
+                    )
         self.domain = domain
         self.codomain = codomain
         self.atom_masks = dict(atom_masks)
@@ -251,9 +269,12 @@ class BooleanHom:
     def apply(self, elem: AlgebraElement) -> AlgebraElement:
         if elem.algebra != self.domain:
             raise ForeignElement("element is not in the hom's domain algebra")
-        image = 0
-        for b in _ids(elem.mask):
-            image |= self.atom_masks[b]
+        atom_masks = self.atom_masks
+        mask, image = elem.mask, 0
+        while mask:
+            low = mask & -mask
+            image |= atom_masks[low.bit_length() - 1]
+            mask ^= low
         return AlgebraElement(self.codomain, image)
 
     def __eq__(self, other) -> bool:
@@ -283,9 +304,13 @@ def induced_homomorphism(phi: MeasurableMap) -> BooleanHom:
     domain = build_algebra(phi.target)
     codomain = build_algebra(phi.source)
     pre, top = phi.atom_preimages, codomain._top
-    return BooleanHom(
-        domain, codomain, {b: _mask(pre[b]) & top for b in domain.nonnull_atoms}
-    )
+    atom_masks = {}
+    for b in domain.nonnull_atoms:
+        mask = 0
+        for a in pre[b]:
+            mask |= 1 << a
+        atom_masks[b] = mask & top
+    return BooleanHom(domain, codomain, atom_masks)
 
 
 @dataclass(frozen=True)

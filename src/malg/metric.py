@@ -259,13 +259,18 @@ def contravariance_check(f: MeasurableMap, g: MeasurableMap) -> LawReport:
     does not compose.
     """
     gf = compose(g, f)
+    homs = []
     for name, m in (("f", f), ("g", g), ("g after f", gf)):
-        if not is_inverse_nil_preserving(m):
-            raise NotInverseNilPreserving(f"{name} is not inverse-nil-preserving")
+        try:
+            homs.append(induced_homomorphism(m))
+        except NotInverseNilPreserving:
+            raise NotInverseNilPreserving(
+                f"{name} is not inverse-nil-preserving"
+            ) from None
+    hom_f, hom_g, hom_gf = homs
     # the homs hold the three spaces' algebras, which build_algebra then
     # returns to the identity checks instead of building them again
-    homs = induced_homomorphism(gf), induced_homomorphism(f), induced_homomorphism(g)
-    violations = composition_law_violations(*homs)
+    violations = composition_law_violations(hom_gf, hom_f, hom_g)
     for space in (f.source, f.target, g.target):
         violations.extend(identity_law_violations(space))
     return LawReport(tuple(violations))

@@ -191,6 +191,8 @@ class MeasurableSet:
     __slots__ = ("space", "mask")
 
     def __init__(self, space: FiniteMeasureSpace, mask: int):
+        if type(mask) is not int:
+            raise TypeError(f"a set's atom mask must be an int, not {mask!r}")
         if mask < 0 or mask >> space.n_atoms:
             raise ValueError(f"atom mask {mask:#b} does not fit {space.n_atoms} atoms")
         self.space = space

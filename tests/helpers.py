@@ -17,7 +17,11 @@ domain elements, the reference for the library's linear join and meet
 certificates; `enumerated_null_ideal_preserved` and
 `enumerated_well_definedness` walk every null target set and every pair
 of target sets equal mod null, the references for the library's
-one-pullback null-ideal laws.
+one-pullback null-ideal laws. The `reference_*` functions are the
+functor-law path as it was before each object on it was built in one
+pass (`MeasureAlgebra`'s fields, `identity_map`, `induced_homomorphism`,
+`BooleanHom.apply` and `_pullback`), and `reference_disagreement` names
+the first map on which the library's path differs from them.
 """
 
 from __future__ import annotations
@@ -36,22 +40,30 @@ from typing import Optional
 
 import malg
 
+import malg.algebra
+import malg.maps
+
 from malg import (
     UNBOUNDED,
+    AlgebraElement,
     BooleanHom,
     CompressionResult,
     ExtRational,
+    ForeignElement,
     InvalidRational,
     LawReport,
     LawViolation,
     MeasurableMap,
     MeasureAlgebra,
     MetricAxiomViolation,
+    NotInverseNilPreserving,
+    build_algebra,
+    is_inverse_nil_preserving,
     rho,
 )
 from malg.maps import _pullback
 from malg.rationals import INF_TOKEN, MAX_DIGITS
-from malg.spaces import _mask, _submasks
+from malg.spaces import FiniteMeasureSpace, _ids, _mask, _submasks
 
 
 def oracle_pushforward_masses(phi: MeasurableMap) -> list[ExtRational]:
@@ -266,6 +278,96 @@ def enumerated_well_definedness(phi: MeasurableMap) -> bool:
                 if ((base | p1) ^ (base | p2)) & nonnull_src:
                     return False
     return True
+
+
+def reference_algebra_fields(space: FiniteMeasureSpace) -> tuple:
+    """MeasureAlgebra's (fin_atoms, _top, _fin) as it computed them before
+    its one loop: a generator and two `_mask` calls."""
+    nonnull_atoms = space.nonnull_atom_ids
+    fin_atoms = tuple(
+        i for i in nonnull_atoms if not space.weights[i].is_infinite
+    )
+    return fin_atoms, _mask(nonnull_atoms), _mask(fin_atoms)
+
+
+def reference_identity_map(space: FiniteMeasureSpace) -> MeasurableMap:
+    """identity_map as it was before it built one dict."""
+    preimages = tuple((a,) for a in range(space.n_atoms))
+    return MeasurableMap(space, space, {p: p for p in space.points}, preimages)
+
+
+def reference_induced_homomorphism(phi: MeasurableMap) -> BooleanHom:
+    """induced_homomorphism as it was before its one loop per atom."""
+    if not is_inverse_nil_preserving(phi):
+        raise NotInverseNilPreserving(
+            "map pushes positive mass onto a null target atom"
+        )
+    domain = build_algebra(phi.target)
+    codomain = build_algebra(phi.source)
+    pre, top = phi.atom_preimages, codomain._top
+    return BooleanHom(
+        domain, codomain, {b: _mask(pre[b]) & top for b in domain.nonnull_atoms}
+    )
+
+
+def reference_apply(hom: BooleanHom, elem: AlgebraElement) -> AlgebraElement:
+    """BooleanHom.apply as it was before it walked the set bits itself."""
+    if elem.algebra != hom.domain:
+        raise ForeignElement("element is not in the hom's domain algebra")
+    image = 0
+    for b in _ids(elem.mask):
+        image |= hom.atom_masks[b]
+    return AlgebraElement(hom.codomain, image)
+
+
+def reference_pullback(phi: MeasurableMap, target_mask: int) -> int:
+    """_pullback as it was before it walked the set bits itself."""
+    pre = 0
+    for b in _ids(target_mask):
+        pre |= _mask(phi.atom_preimages[b])
+    return pre
+
+
+def _raised(fn, *args):
+    """fn(*args), or the type and message of the MalgError it raises."""
+    try:
+        return fn(*args)
+    except NotInverseNilPreserving as exc:
+        return type(exc), str(exc)
+
+
+def reference_disagreement(maps) -> Optional[tuple]:
+    """The first (map, what differs) on which the library's functor-law
+    path differs from the reference_* functions, or None. The library is
+    read through its modules, so a planted fault takes effect. Compared:
+    each side's algebra fields and identity map, the induced hom's atom
+    masks (or the exception it raises), `apply` on every domain element
+    and `_pullback` on every target mask."""
+    for phi in maps:
+        for space in (phi.source, phi.target):
+            alg = malg.algebra.MeasureAlgebra(space)
+            if (alg.fin_atoms, alg._top, alg._fin) != reference_algebra_fields(space):
+                return phi, "algebra fields"
+            ident = malg.maps.identity_map(space)
+            ref = reference_identity_map(space)
+            if (ident.point_fn, ident.atom_preimages) != (
+                ref.point_fn, ref.atom_preimages
+            ):
+                return phi, "identity map"
+        hom = _raised(malg.maps.induced_homomorphism, phi)
+        ref = _raised(reference_induced_homomorphism, phi)
+        if isinstance(hom, BooleanHom) and isinstance(ref, BooleanHom):
+            if hom.atom_masks != ref.atom_masks:
+                return phi, "atom masks"
+            for elem in hom.domain.all_elements():
+                if hom.apply(elem).mask != reference_apply(hom, elem).mask:
+                    return phi, "apply"
+        elif hom != ref:
+            return phi, "induced hom"
+        for mask in range(1 << phi.target.n_atoms):
+            if malg.maps._pullback(phi, mask) != reference_pullback(phi, mask):
+                return phi, "pullback"
+    return None
 
 
 def primes_from(start: int, count: int) -> list[int]:

@@ -147,6 +147,13 @@ def test_masks_and_derived_views(s1):
         AlgebraElement(alg, (0, 1))  # ids go through alg.element
     with pytest.raises(TypeError):
         MeasurableSet(s1, (0, 1))  # ids go through s1.atom_set
+    # a mask is exactly an int, as BooleanHom's atom masks are: no bool
+    # (True would pass for atom 0), float or Fraction
+    for bad in (True, 1.0, Fraction(1)):
+        with pytest.raises(TypeError, match="must be an int"):
+            AlgebraElement(alg, bad)
+        with pytest.raises(TypeError, match="must be an int"):
+            MeasurableSet(s1, bad)
 
 
 def test_project_is_homomorphism_worked_example(s1):

@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+import malg.algebra
 import malg.cli
 import malg.maps
 import malg.spaces
@@ -31,7 +32,13 @@ from malg.formats import (
     space_to_obj,
 )
 
-from helpers import drop_lowest_image_atom, mutated, python_child_output
+from helpers import (
+    drop_lowest_image_atom,
+    mutated,
+    python_child_output,
+    reference_disagreement,
+)
+from test_maps import _null_law_maps
 
 
 @pytest.fixture
@@ -791,27 +798,23 @@ def test_law_mutant_changes_functor_check(
     assert survived == (equivalent is not None)
 
 
-# One-operator mutants of induced_homomorphism's mask expression
-# `_mask(pre[b]) & top` and of its INP guard; `_mask`'s join is mutated
-# where malg.maps reads it. A mutant is killed when the exit code or the
-# report bytes change, of theorem-check on 30 seeded instances or of
-# functor-check on the pinned id.json and phi.json; the last field names
-# why a survivor is equivalent there, and is None for a mutant that must
-# be killed.
+# One-operator mutants of the functor-law path's one-pass builders:
+# induced_homomorphism's mask loop and INP guard, `_mask`'s join where
+# malg.maps reads it, and the loops of MeasureAlgebra.__init__ and
+# BooleanHom.__init__. A mutant is killed when the exit code or the report
+# bytes change, of theorem-check on 30 seeded instances or of functor-check
+# on the pinned id.json and phi.json; or when the functor-law path leaves
+# the reference on the 400 seed-0 random instances of the null-law maps; or
+# when BooleanHom accepts or names differently one of BAD_ATOM_MASKS. The last
+# field names why a survivor is equivalent there, and is None for a mutant
+# that must be killed. The first field is the module whose function is
+# mutated, or the class whose method is.
 HOM_MUTANTS = {
     "induced-top-dropped": (
-        malg.maps,
-        "induced_homomorphism",
-        "_mask(pre[b]) & top",
-        "_mask(pre[b])",
-        None,
+        malg.maps, "induced_homomorphism", "mask & top", "mask", None
     ),
     "induced-meet-as-join": (
-        malg.maps,
-        "induced_homomorphism",
-        "_mask(pre[b]) & top",
-        "_mask(pre[b]) | top",
-        None,
+        malg.maps, "induced_homomorphism", "mask & top", "mask | top", None
     ),
     "induced-inp-guard-negated": (
         malg.maps,
@@ -820,22 +823,77 @@ HOM_MUTANTS = {
         "if is_inverse_nil_preserving(phi):",
         None,
     ),
+    "induced-join-as-xor": (
+        malg.maps,
+        "induced_homomorphism",
+        "mask |= 1 << a",
+        "mask ^= 1 << a",
+        # a preimage block lists each source atom once: ^= sets the same
+        # bits as |=
+        "equivalent over distinct atom ids",
+    ),
     "mask-join-as-xor": (
         malg.spaces,
         "_mask",
         "mask |= 1 << i",
         "mask ^= 1 << i",
-        # a preimage block lists each source atom once, as does every other
-        # caller in malg.maps: ^= sets the same bits as |=
+        # malg.maps reads _mask on the null and non-null atom ids of a
+        # space and on enumerate's ids, each listed once: ^= sets the same
+        # bits as |=
         "equivalent over distinct atom ids",
+    ),
+    "algebra-finiteness-flipped": (
+        malg.algebra.MeasureAlgebra,
+        "__init__",
+        "if not weights[i].is_infinite:",
+        "if weights[i].is_infinite:",
+        None,
+    ),
+    "algebra-top-join-as-meet": (
+        malg.algebra.MeasureAlgebra, "__init__", "top |= bit", "top &= bit", None
+    ),
+    "algebra-fin-join-as-meet": (
+        malg.algebra.MeasureAlgebra, "__init__", "fin |= bit", "fin &= bit", None
+    ),
+    "hom-union-join-as-meet": (
+        malg.maps.BooleanHom, "__init__", "union |= mask", "union &= mask", None
+    ),
+    "hom-type-break-valid": (
+        malg.maps.BooleanHom, "__init__", "union = -1", "union = 0", None
+    ),
+    "hom-range-check-as-meet": (
+        malg.maps.BooleanHom, "__init__", "union & ~top", "union & top", None
+    ),
+    "hom-sign-check-dropped": (
+        malg.maps.BooleanHom,
+        "__init__",
+        "if union < 0 or union & ~top:",
+        "if union & ~top:",
+        # ~top is negative, so a negative union meets it in infinitely
+        # many bits: the range check alone sends it to the walk
+        "equivalent: a negative union leaves top",
     ),
 }
 
+# Atom masks for the hom of phi (non-null atoms 0 and 1 into a codomain
+# with top 0b011), each bad in one way or, as the first two, in two; the
+# first bad mask in order is named, as a check of each mask in turn names it
+BAD_ATOM_MASKS = (
+    {0: -1, 1: 3.0},
+    {0: 3.0, 1: -1},
+    {0: 0b011, 1: True},
+    {0: 0b111, 1: 0},
+    {0: 0b100, 1: 0},  # the null atom alone: no bit inside top
+    {0: 0b011, 1: 0b1000},
+)
 
-def _hom_check_outputs(capsys) -> list:
+
+def _hom_check_outputs(capsys, hom) -> list:
     """Exit code and report of theorem-check on 30 seeded instances and
-    of functor-check on id.json and phi.json; an exception that ends a
-    run stands in for its exit code."""
+    of functor-check on id.json and phi.json, the first disagreement with
+    the reference, and what BooleanHom makes of each of BAD_ATOM_MASKS on
+    hom's algebras; an exception that ends a run stands in for its
+    result."""
     outputs = []
     for argv in (
         ["theorem-check", "--trials", "30", "--seed", "7"],
@@ -846,18 +904,38 @@ def _hom_check_outputs(capsys) -> list:
         except Exception as exc:
             code = type(exc).__name__
         outputs.append((code, capsys.readouterr().out))
+    try:
+        random_maps = _null_law_maps()[-1200:-800]  # seed 0
+        found = reference_disagreement(phi for phi, _ in random_maps)
+        outputs.append(None if found is None else found[1])
+    except Exception as exc:
+        outputs.append(type(exc).__name__)
+    for masks in BAD_ATOM_MASKS:
+        try:
+            malg.maps.BooleanHom(hom.domain, hom.codomain, masks)
+            outputs.append("accepted")
+        except Exception as exc:
+            outputs.append((type(exc).__name__, str(exc)))
     return outputs
 
 
 @pytest.mark.parametrize("name", sorted(HOM_MUTANTS))
-def test_hom_mutant_changes_reports(capsys, monkeypatch, pinned_documents, name):
-    module, fn_name, old, new, equivalent = HOM_MUTANTS[name]
-    expected = _hom_check_outputs(capsys)
-    assert [code for code, _ in expected] == [0, 0]
-    mutant = mutated(getattr(module, fn_name), old, new)
-    # metric and cli import induced_homomorphism by name
-    for target in (malg.maps, malg.metric, malg.cli):
-        if hasattr(target, fn_name):
-            monkeypatch.setattr(target, fn_name, mutant)
-    survived = _hom_check_outputs(capsys) == expected
+def test_hom_mutant_changes_reports(
+    capsys, monkeypatch, pinned_documents, phi, name
+):
+    owner, fn_name, old, new, equivalent = HOM_MUTANTS[name]
+    hom = induced_homomorphism(phi)
+    expected = _hom_check_outputs(capsys, hom)
+    (theorem_code, _), (functor_code, _), found, *bad_masks = expected
+    assert (theorem_code, functor_code, found) == (0, 0, None)
+    assert "accepted" not in bad_masks
+    mutant = mutated(getattr(owner, fn_name), old, new)
+    if isinstance(owner, type):
+        monkeypatch.setattr(owner, fn_name, mutant)
+    else:
+        # metric and cli import induced_homomorphism by name
+        for target in (malg.maps, malg.metric, malg.cli):
+            if hasattr(target, fn_name):
+                monkeypatch.setattr(target, fn_name, mutant)
+    survived = _hom_check_outputs(capsys, hom) == expected
     assert survived == (equivalent is not None)

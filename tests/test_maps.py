@@ -50,6 +50,7 @@ from helpers import (
     oracle_pushforward_masses,
     pair_scan_hom_laws,
     python_child_output,
+    reference_disagreement,
 )
 from test_small_scope import build_map, canonical_forms
 
@@ -185,6 +186,15 @@ def _null_law_disagreements() -> int:
              == inp)
         for phi, inp in _null_law_maps()
     )
+
+
+def test_functor_path_matches_reference():
+    # each object on the functor-law path, built in one pass, against the
+    # path as it was before: algebra fields, identity maps, induced homs,
+    # apply on every domain element and _pullback on every target mask
+    maps = [phi for phi, _ in _null_law_maps()]
+    assert len(maps) == 23_100
+    assert reference_disagreement(maps) is None
 
 
 def test_null_laws_match_enumerations():
@@ -326,6 +336,16 @@ def test_boolean_hom_rejects_bad_masks(phi):
     for bad in (-1, -0b100, 0b111, 0b1000):
         with pytest.raises(ValueError, match="null or out-of-range"):
             BooleanHom(dom, cod, {**masks, 0: bad})
+    # masks bad in two ways: the first bad mask in the dict's order is
+    # named, by the exception a check of each mask in turn raises
+    with pytest.raises(ValueError, match="mask -0b1 has null"):
+        BooleanHom(dom, cod, {0: -1, 1: 3.0})
+    with pytest.raises(TypeError, match="must be an int, not 3.0"):
+        BooleanHom(dom, cod, {0: 3.0, 1: -1})
+    with pytest.raises(TypeError, match="must be an int, not True"):
+        BooleanHom(dom, cod, {1: True, 0: 0b111})
+    with pytest.raises(ValueError, match="mask 0b111 has null"):
+        BooleanHom(dom, cod, {0: 0b111, 1: True})
     # the keys are exactly the domain's non-null atoms
     for keys in ((0,), (0, 1, 2), (1, 2)):
         with pytest.raises(ValueError, match="cover exactly"):

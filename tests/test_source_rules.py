@@ -92,6 +92,18 @@ def test_all_matches_package_imports():
     assert set(malg.__all__) == imported
 
 
+def _called_names(body):
+    """Names of the functions a function body calls, by name or attribute."""
+    names = set()
+    for node in ast.walk(body):
+        if isinstance(node, ast.Call):
+            func = node.func
+            names.add(func.id if isinstance(func, ast.Name) else getattr(
+                func, "attr", None
+            ))
+    return names
+
+
 def test_inp_formulations_are_independent():
     # acceptance criterion 2 asserts that the three formulations agree,
     # which shows something only while each computes on its own
@@ -108,15 +120,8 @@ def test_inp_formulations_are_independent():
     }
     assert set(bodies) == three
     for name, body in bodies.items():
-        for node in ast.walk(body):
-            if isinstance(node, ast.Call):
-                func = node.func
-                called = func.id if isinstance(func, ast.Name) else getattr(
-                    func, "attr", None
-                )
-                assert called not in three - {name}, (
-                    f"maps.py:{node.lineno} {name} calls {called}"
-                )
+        called = _called_names(body) & (three - {name})
+        assert not called, f"maps.py {name} calls {sorted(called)}"
 
 
 def _quoted_annotations(tree):
@@ -152,3 +157,20 @@ def test_no_unused_imports():
             assert imported_name in used, (
                 f"{name}:{lineno} imports {imported_name} and never uses it"
             )
+
+
+def test_functor_checks_build_their_maps_and_homs():
+    # the identity law goes through identity_map and induced_homomorphism,
+    # and the composition law through compose: that path is what catches
+    # a faulty induced hom, so no speed-up may answer either law without it
+    tree = dict(_trees())["metric.py"]
+    bodies = {
+        node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)
+    }
+    required = {
+        "identity_law_violations": {"identity_map", "induced_homomorphism"},
+        "contravariance_check": {"compose", "induced_homomorphism"},
+    }
+    for name, calls in required.items():
+        missing = calls - _called_names(bodies[name])
+        assert not missing, f"metric.py {name} does not call {sorted(missing)}"
