@@ -13,7 +13,6 @@ functions (:func:`chi_embed` / :func:`l1_distance`).
 
 from __future__ import annotations
 
-import weakref
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -27,28 +26,18 @@ from .spaces import (
 class MeasureAlgebra:
     """Boolean algebra of measurable sets modulo null sets."""
 
-    __slots__ = (
-        "space", "nonnull_atoms", "fin_atoms", "_top", "_fin", "__weakref__",
-    )
+    __slots__ = ("space", "nonnull_atoms", "fin_atoms", "_top", "_fin")
 
     nonnull_atoms: tuple[int, ...]
     fin_atoms: tuple[int, ...]
 
     def __init__(self, space: FiniteMeasureSpace):
+        # the space sorted its atoms into these classes when it was built
         self.space = space
         self.nonnull_atoms = space.nonnull_atom_ids
-        weights = space.weights
-        fin_atoms = []
-        top = fin = 0
-        for i in self.nonnull_atoms:
-            bit = 1 << i
-            top |= bit
-            if not weights[i].is_infinite:
-                fin_atoms.append(i)
-                fin |= bit
-        self.fin_atoms = tuple(fin_atoms)
-        self._top = top
-        self._fin = fin
+        self.fin_atoms = space._fin_ids
+        self._top = space._nonnull_mask
+        self._fin = space._fin_mask
 
     @property
     def size(self) -> int:
@@ -182,18 +171,9 @@ class L1Function:
 
 
 def build_algebra(space: FiniteMeasureSpace) -> MeasureAlgebra:
-    """The space's one measure algebra: built on the first call and
-    returned by every later one while anything still holds it.
-
-    The space keeps only a weak reference to it, so space and algebra
-    form no reference cycle and are freed by reference counting.
-    """
-    ref = space._algebra
-    algebra = None if ref is None else ref()
-    if algebra is None:
-        algebra = MeasureAlgebra(space)
-        space._algebra = weakref.ref(algebra)
-    return algebra
+    """The measure algebra of `space`, built in constant time from the atom
+    classes the space computed once; every call returns an equal one."""
+    return MeasureAlgebra(space)
 
 
 def project(algebra: MeasureAlgebra, mset: MeasurableSet) -> AlgebraElement:

@@ -38,7 +38,7 @@ from .errors import (
     UnknownPoint,
 )
 from .rationals import ExtRational, to_fraction
-from .spaces import FiniteMeasureSpace, _ids, _mask, _weighted_sum
+from .spaces import FiniteMeasureSpace, _ids, _weighted_sum
 
 
 class MeasurableMap:
@@ -201,7 +201,7 @@ def null_ideal_preserved(phi: MeasurableMap) -> bool:
     measure zero; that one preimage is measured. Agrees with
     is_inverse_nil_preserving.
     """
-    null_tgt = _mask(phi.target.null_atom_ids)
+    null_tgt = phi.target._null_mask
     return _weighted_sum(phi.source.weights, _pullback(phi, null_tgt)).is_zero
 
 
@@ -215,8 +215,8 @@ def check_well_definedness(phi: MeasurableMap) -> bool:
     preimages differ by exactly the preimage of N, so comparing that one
     pair modulo null decides the law.
     """
-    nonnull_src = _mask(phi.source.nonnull_atom_ids)
-    null_tgt = _mask(phi.target.null_atom_ids)
+    nonnull_src = phi.source._nonnull_mask
+    null_tgt = phi.target._null_mask
     top = (1 << phi.target.n_atoms) - 1
     return not (_pullback(phi, top) ^ _pullback(phi, top ^ null_tgt)) & nonnull_src
 
@@ -241,27 +241,15 @@ class BooleanHom:
     ):
         if sorted(atom_masks) != list(domain.nonnull_atoms):
             raise ValueError("atom_masks must cover exactly the domain atoms")
-        top = codomain._top
-        union = 0
+        outside = ~codomain._top
         for mask in atom_masks.values():
             if type(mask) is not int:
-                union = -1  # not a valid union: the walk below names the mask
-                break
-            union |= mask
-        # a negative mask has infinitely many bits: _ids would never stop
-        # on it. The OR of the masks is negative or leaves top exactly when
-        # some mask does; only then are the masks walked, in order, to name
-        # the first bad one
-        if union < 0 or union & ~top:
-            for mask in atom_masks.values():
-                if type(mask) is not int:
-                    raise TypeError(
-                        f"an atom image mask must be an int, not {mask!r}"
-                    )
-                if mask < 0 or mask & ~top:
-                    raise ValueError(
-                        f"atom image mask {mask:#b} has null or out-of-range atoms"
-                    )
+                raise TypeError(f"an atom image mask must be an int, not {mask!r}")
+            # a negative mask has infinitely many bits: _ids would never stop on it
+            if mask < 0 or mask & outside:
+                raise ValueError(
+                    f"atom image mask {mask:#b} has null or out-of-range atoms"
+                )
         self.domain = domain
         self.codomain = codomain
         self.atom_masks = dict(atom_masks)
@@ -459,7 +447,7 @@ def lipschitz_bruteforce(phi: MeasurableMap, budget: int = 12) -> BruteForceRepo
         low = (mask & -mask).bit_length() - 1
         images[mask] = images[mask & (mask - 1)] | action_masks[low]
 
-    infinite_src = _mask(i for i, w in enumerate(src_weights) if w.is_infinite)
+    infinite_src = phi.source._nonnull_mask ^ phi.source._fin_mask
     if images[-1] & infinite_src:
         return BruteForceReport(UNBOUNDED, None, None)  # fin ideal broken
 

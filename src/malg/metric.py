@@ -268,8 +268,6 @@ def contravariance_check(f: MeasurableMap, g: MeasurableMap) -> LawReport:
                 f"{name} is not inverse-nil-preserving"
             ) from None
     hom_f, hom_g, hom_gf = homs
-    # the homs hold the three spaces' algebras, which build_algebra then
-    # returns to the identity checks instead of building them again
     violations = composition_law_violations(hom_gf, hom_f, hom_g)
     for space in (f.source, f.target, g.target):
         violations.extend(identity_law_violations(space))

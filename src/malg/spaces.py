@@ -73,17 +73,20 @@ def _weighted_sum(weights: Sequence[ExtRational], mask: int) -> ExtRational:
 class FiniteMeasureSpace:
     """Immutable finite measure space; build with :func:`make_space`."""
 
-    # _null and _nonnull hold the atom ids, computed on first read, and
-    # _algebra a weak reference to the space's measure algebra (see
-    # algebra.build_algebra); none takes part in == or hash
+    # the atom classes, computed once from the weights: the null and
+    # non-null atoms, and the finite ones among the non-null, as ids and as
+    # masks; none takes part in == or hash
     __slots__ = (
         "points", "atoms", "weights", "_atom_of", "_hash",
-        "_null", "_nonnull", "_algebra",
+        "null_atom_ids", "nonnull_atom_ids", "_fin_ids",
+        "_null_mask", "_nonnull_mask", "_fin_mask",
     )
 
     points: tuple[str, ...]
     atoms: tuple[tuple[str, ...], ...]
     weights: tuple[ExtRational, ...]
+    null_atom_ids: tuple[int, ...]
+    nonnull_atom_ids: tuple[int, ...]
 
     def __init__(self, points, partition, weights):
         pts = tuple(points)
@@ -93,7 +96,7 @@ class FiniteMeasureSpace:
                 raise DuplicatePoint(f"point {p!r} listed twice")
             seen.add(p)
 
-        blocks = [tuple(sorted(set(block))) for block in partition]
+        blocks = [tuple(sorted(block)) for block in partition]
         raw_weights = list(weights)
         if len(raw_weights) != len(blocks):
             raise ArityMismatch(
@@ -109,6 +112,8 @@ class FiniteMeasureSpace:
                 if p not in seen:
                     raise UnknownPoint(f"partition mentions unknown point {p!r}")
                 if p in covered:
+                    if block.count(p) > 1:
+                        raise DuplicatePoint(f"point {p!r} listed twice in one atom")
                     raise PartitionOverlap(f"point {p!r} lies in two blocks")
                 covered.add(p)
         if covered != seen:
@@ -123,7 +128,24 @@ class FiniteMeasureSpace:
             p: idx for idx, block in enumerate(self.atoms) for p in block
         }
         self._hash = hash((self.points, self.atoms, self.weights))
-        self._null = self._nonnull = self._algebra = None
+        null, nonnull, fin = [], [], []
+        nonnull_mask = fin_mask = 0
+        for i, w in enumerate(self.weights):
+            if w.is_zero:
+                null.append(i)
+                continue
+            bit = 1 << i
+            nonnull.append(i)
+            nonnull_mask |= bit
+            if not w.is_infinite:
+                fin.append(i)
+                fin_mask |= bit
+        self.null_atom_ids = tuple(null)
+        self.nonnull_atom_ids = tuple(nonnull)
+        self._fin_ids = tuple(fin)
+        self._null_mask = nonnull_mask ^ ((1 << len(self.atoms)) - 1)
+        self._nonnull_mask = nonnull_mask
+        self._fin_mask = fin_mask
 
     @property
     def n_atoms(self) -> int:
@@ -142,21 +164,7 @@ class FiniteMeasureSpace:
 
     @property
     def is_sigma_finite(self) -> bool:
-        return not any(w.is_infinite for w in self.weights)
-
-    @property
-    def null_atom_ids(self) -> tuple[int, ...]:
-        if self._null is None:
-            self._null = tuple(i for i, w in enumerate(self.weights) if w.is_zero)
-        return self._null
-
-    @property
-    def nonnull_atom_ids(self) -> tuple[int, ...]:
-        if self._nonnull is None:
-            self._nonnull = tuple(
-                i for i, w in enumerate(self.weights) if not w.is_zero
-            )
-        return self._nonnull
+        return self._fin_mask == self._nonnull_mask
 
     def empty_set(self) -> "MeasurableSet":
         return MeasurableSet(self, 0)

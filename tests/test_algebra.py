@@ -1,7 +1,6 @@
 """Measure algebras: projection, mu-bar, rho, the L1 embedding."""
 
 import gc
-import weakref
 from fractions import Fraction
 from itertools import product
 
@@ -17,13 +16,17 @@ from malg import (
     MeasurableSet,
     MeasureAlgebra,
     NotInFinIdeal,
+    NotInverseNilPreserving,
     build_algebra,
     chi_embed,
+    contravariance_check,
     is_fin,
     l1_distance,
+    lipschitz_bruteforce,
     make_space,
     mu_bar,
     project,
+    random_composable_pair,
     random_instance,
     rho,
     rho_c,
@@ -40,25 +43,53 @@ def test_build_algebra_sizes(s1, s2):
 
 
 def test_build_algebra_returns_the_spaces_one_algebra(s1):
+    # one algebra up to equality: every call, on the space or on an equal
+    # twin, builds an algebra equal to the first, with the same hash
     alg = build_algebra(s1)
-    assert build_algebra(s1) is alg
+    assert build_algebra(s1) == alg and hash(build_algebra(s1)) == hash(alg)
     twin = make_space(s1.points, s1.atoms, s1.weights)
-    # an equal space has its own algebra, equal to the first one
-    assert build_algebra(twin) is not alg
-    assert build_algebra(twin) == alg and hash(twin) == hash(s1)
-    assert twin == s1
+    assert build_algebra(twin) == alg and hash(build_algebra(twin)) == hash(alg)
+    assert twin == s1 and hash(twin) == hash(s1)
 
 
-def test_dropped_algebra_is_freed_by_reference_counting(s1):
-    # the space holds its algebra weakly: no cycle, so dropping the last
-    # holder frees the algebra with the cyclic collector off
+def test_dropped_algebra_is_freed_by_reference_counting():
+    # no space, algebra, map or hom holds a reference cycle: with the
+    # cyclic collector off, building and dropping them leaves it nothing
     gc.disable()
     try:
-        ref = weakref.ref(build_algebra(s1))
-        assert ref() is None
-        assert build_algebra(s1) == MeasureAlgebra(s1)
+        gc.collect()
+        for index in range(20):
+            f, g = random_composable_pair(5, index)
+            MeasureAlgebra(f.source)
+            build_algebra(g.target)
+            lipschitz_bruteforce(f)
+            try:
+                contravariance_check(f, g)
+            except NotInverseNilPreserving:
+                pass
+        del f, g
+        assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_measure_algebra_reads_no_weight(monkeypatch):
+    # the space sorts its atoms into null, non-null and finite when it is
+    # built; its algebra copies those classes and reads no weight
+    spaces = [random_instance(4, i).source for i in range(20)]
+    spaces.append(make_space(["a", "b", "c"], [["a"], ["b"], ["c"]], [0, INF, 2]))
+    reads = []
+
+    def counted(name):
+        fget = getattr(ExtRational, name).fget
+        return property(lambda self: reads.append(name) or fget(self))
+
+    for name in ("is_zero", "is_infinite"):
+        monkeypatch.setattr(ExtRational, name, counted(name))
+    for sp in spaces:
+        MeasureAlgebra(sp)
+        build_algebra(sp)
+    assert reads == []
 
 
 def test_cached_atom_ids_match_the_weights():
@@ -72,11 +103,22 @@ def test_cached_atom_ids_match_the_weights():
     for sp in spaces:
         null = tuple(i for i, w in enumerate(sp.weights) if w == 0)
         nonnull = tuple(i for i, w in enumerate(sp.weights) if w != 0)
-        for _ in range(2):
-            assert sp.null_atom_ids == null
-            assert sp.nonnull_atom_ids == nonnull
-        assert build_algebra(sp).nonnull_atoms == nonnull
+        fin = tuple(i for i in nonnull if sp.weights[i] != INF)
+        null_mask, nonnull_mask, fin_mask = (
+            sum(1 << i for i in ids) for ids in (null, nonnull, fin)
+        )
+        assert sp.null_atom_ids == null
+        assert sp.nonnull_atom_ids == nonnull
+        assert sp._fin_ids == fin
+        assert (sp._null_mask, sp._nonnull_mask, sp._fin_mask) == (
+            null_mask, nonnull_mask, fin_mask
+        )
+        assert sp.is_sigma_finite == (INF not in sp.weights)
+        alg = build_algebra(sp)
+        assert (alg.nonnull_atoms, alg.fin_atoms) == (nonnull, fin)
+        assert (alg._top, alg._fin) == (nonnull_mask, fin_mask)
     assert any(sp.null_atom_ids for sp in spaces[:-3])
+    assert any(sp._fin_ids != sp.nonnull_atom_ids for sp in spaces[:-3])
 
 
 def test_trivial_algebra_of_all_null_space():

@@ -92,6 +92,17 @@ def test_validate_partition_overlap(capsys, tmp_path):
     assert report["results"]["files"][0]["error"] == "PartitionOverlap"
 
 
+def test_validate_point_repeated_in_one_atom(capsys, tmp_path):
+    doc = {"points": ["a", "b"], "atoms": [["a", "a"], ["b"]], "weights": ["1", "1"]}
+    path = tmp_path / "repeat.json"
+    path.write_text(json.dumps(doc))
+    code, report = run_cli(capsys, ["validate", str(path)])
+    assert code == 2
+    entry = report["results"]["files"][0]
+    assert entry["error"] == "DuplicatePoint"
+    assert entry["detail"] == "point 'a' listed twice in one atom"
+
+
 def test_validate_non_measurable_map(capsys, tmp_path):
     doc = {
         "source": {"points": ["r1", "r2"], "atoms": [["r1", "r2"]], "weights": ["1"]},
@@ -800,8 +811,9 @@ def test_law_mutant_changes_functor_check(
 
 # One-operator mutants of the functor-law path's one-pass builders:
 # induced_homomorphism's mask loop and INP guard, `_mask`'s join where
-# malg.maps reads it, and the loops of MeasureAlgebra.__init__ and
-# BooleanHom.__init__. A mutant is killed when the exit code or the report
+# malg.algebra reads it, the loop of FiniteMeasureSpace.__init__ that sorts
+# the atoms into the classes every algebra copies, and BooleanHom.__init__'s
+# check of each mask. A mutant is killed when the exit code or the report
 # bytes change, of theorem-check on 30 seeded instances or of functor-check
 # on the pinned id.json and phi.json; or when the functor-law path leaves
 # the reference on the 400 seed-0 random instances of the null-law maps; or
@@ -837,41 +849,70 @@ HOM_MUTANTS = {
         "_mask",
         "mask |= 1 << i",
         "mask ^= 1 << i",
-        # malg.maps reads _mask on the null and non-null atom ids of a
-        # space and on enumerate's ids, each listed once: ^= sets the same
+        # the two commands read _mask only through MeasureAlgebra.element,
+        # on the distinct ids of one atom or of a witness: ^= sets the same
         # bits as |=
         "equivalent over distinct atom ids",
     ),
-    "algebra-finiteness-flipped": (
-        malg.algebra.MeasureAlgebra,
+    # the space's atom classes, which its algebra copies as nonnull_atoms,
+    # fin_atoms, _top and _fin
+    "space-null-flipped": (
+        malg.spaces.FiniteMeasureSpace,
         "__init__",
-        "if not weights[i].is_infinite:",
-        "if weights[i].is_infinite:",
+        "if w.is_zero:",
+        "if not w.is_zero:",
+        None,
+    ),
+    "algebra-finiteness-flipped": (
+        malg.spaces.FiniteMeasureSpace,
+        "__init__",
+        "if not w.is_infinite:",
+        "if w.is_infinite:",
         None,
     ),
     "algebra-top-join-as-meet": (
-        malg.algebra.MeasureAlgebra, "__init__", "top |= bit", "top &= bit", None
+        malg.spaces.FiniteMeasureSpace,
+        "__init__",
+        "nonnull_mask |= bit",
+        "nonnull_mask &= bit",
+        None,
     ),
     "algebra-fin-join-as-meet": (
-        malg.algebra.MeasureAlgebra, "__init__", "fin |= bit", "fin &= bit", None
+        malg.spaces.FiniteMeasureSpace,
+        "__init__",
+        "fin_mask |= bit",
+        "fin_mask &= bit",
+        None,
     ),
-    "hom-union-join-as-meet": (
-        malg.maps.BooleanHom, "__init__", "union |= mask", "union &= mask", None
-    ),
-    "hom-type-break-valid": (
-        malg.maps.BooleanHom, "__init__", "union = -1", "union = 0", None
+    "hom-type-check-flipped": (
+        malg.maps.BooleanHom,
+        "__init__",
+        "if type(mask) is not int:",
+        "if type(mask) is int:",
+        None,
     ),
     "hom-range-check-as-meet": (
-        malg.maps.BooleanHom, "__init__", "union & ~top", "union & top", None
+        malg.maps.BooleanHom,
+        "__init__",
+        "outside = ~codomain._top",
+        "outside = codomain._top",
+        None,
+    ),
+    "hom-checks-joined-by-and": (
+        malg.maps.BooleanHom,
+        "__init__",
+        "mask < 0 or mask & outside",
+        "mask < 0 and mask & outside",
+        None,
     ),
     "hom-sign-check-dropped": (
         malg.maps.BooleanHom,
         "__init__",
-        "if union < 0 or union & ~top:",
-        "if union & ~top:",
-        # ~top is negative, so a negative union meets it in infinitely
-        # many bits: the range check alone sends it to the walk
-        "equivalent: a negative union leaves top",
+        "if mask < 0 or mask & outside:",
+        "if mask & outside:",
+        # ~top is negative, so a negative mask meets it in infinitely many
+        # bits: the range check alone rejects it, with the same message
+        "equivalent: a negative mask leaves top",
     ),
 }
 
@@ -933,9 +974,14 @@ def test_hom_mutant_changes_reports(
     if isinstance(owner, type):
         monkeypatch.setattr(owner, fn_name, mutant)
     else:
-        # metric and cli import induced_homomorphism by name
-        for target in (malg.maps, malg.metric, malg.cli):
-            if hasattr(target, fn_name):
-                monkeypatch.setattr(target, fn_name, mutant)
+        # algebra imports _mask, and metric and cli induced_homomorphism,
+        # by name; a mutant that reaches no module would survive unread
+        readers = [
+            target for target in (malg.algebra, malg.maps, malg.metric, malg.cli)
+            if hasattr(target, fn_name)
+        ]
+        assert readers, f"no module reads {fn_name}"
+        for target in readers:
+            monkeypatch.setattr(target, fn_name, mutant)
     survived = _hom_check_outputs(capsys, hom) == expected
     assert survived == (equivalent is not None)

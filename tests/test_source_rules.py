@@ -174,3 +174,25 @@ def test_functor_checks_build_their_maps_and_homs():
     for name, calls in required.items():
         missing = calls - _called_names(bodies[name])
         assert not missing, f"metric.py {name} does not call {sorted(missing)}"
+
+
+def test_measure_algebra_init_has_no_loop():
+    # which atoms are null, non-null and finite is decided once, where the
+    # space is built; the algebra only copies those classes
+    tree = dict(_trees())["algebra.py"]
+    cls = next(
+        node for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "MeasureAlgebra"
+    )
+    init = next(
+        node for node in cls.body
+        if isinstance(node, ast.FunctionDef) and node.name == "__init__"
+    )
+    loops = (
+        ast.For, ast.AsyncFor, ast.While,
+        ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp,
+    )
+    for node in ast.walk(init):
+        assert not isinstance(node, loops), (
+            f"algebra.py:{node.lineno} MeasureAlgebra.__init__ loops"
+        )

@@ -54,6 +54,8 @@ def test_construction_errors():
         make_space(["p1", "p2"], [["p1"], ["p1", "p2"]], [1, 1])
     with pytest.raises(DuplicatePoint):
         make_space(["p1", "p1"], [["p1"]], [1])
+    with pytest.raises(DuplicatePoint, match="'p1' listed twice in one atom"):
+        make_space(["p1", "p2"], [["p2"], ["p1", "p2", "p1"]], [1, 1])
     with pytest.raises(PartitionGap):
         make_space(["p1", "p2"], [["p1"]], [1])
     with pytest.raises(PartitionGap):
