@@ -38,7 +38,7 @@ from .errors import (
     UnknownPoint,
 )
 from .rationals import ExtRational, to_fraction
-from .spaces import FiniteMeasureSpace, _ids, _weighted_sum
+from .spaces import FiniteMeasureSpace, _ids, _submasks, _weighted_sum
 
 
 class MeasurableMap:
@@ -391,7 +391,7 @@ def lipschitz_fast(phi: MeasurableMap) -> CompressionResult:
         if image_mass.is_infinite:
             return UNBOUNDED  # finite ideal not preserved
         image = image_mass.as_fraction()
-        atom = mu_bar(hom.domain.element((b,))).as_fraction()  # finite, > 0
+        atom = phi.target.weights[b].as_fraction()  # finite, > 0
         p = image.numerator * atom.denominator
         q = image.denominator * atom.numerator
         if p * den > num * q:
@@ -424,8 +424,7 @@ def lipschitz_bruteforce(phi: MeasurableMap, budget: int = 12) -> BruteForceRepo
     """
     if type(budget) is not int:
         raise TypeError(f"budget must be an int, not {budget!r}")
-    domain = build_algebra(phi.target)
-    n_nonnull = len(domain.nonnull_atoms)
+    n_nonnull = len(phi.target.nonnull_atom_ids)
     if n_nonnull > budget:
         raise BudgetExceeded(
             f"{n_nonnull} non-null target atoms exceed the budget of {budget}"
@@ -433,54 +432,37 @@ def lipschitz_bruteforce(phi: MeasurableMap, budget: int = 12) -> BruteForceRepo
     if not is_inverse_nil_preserving(phi):
         return BruteForceReport(UNBOUNDED, None, None)
     hom = induced_homomorphism(phi)
+    domain = hom.domain
 
-    # target elements are masks over positions in `fin`; their images are
-    # source atom masks
-    fin = domain.fin_atoms
-    nf = len(fin)
-    action_masks = [hom.atom_masks[b] for b in fin]
-    src_weights = phi.source.weights
-
-    # image under the hom, per finite-ideal mask
-    images = [0] * (1 << nf)
-    for mask in range(1, 1 << nf):
-        low = (mask & -mask).bit_length() - 1
-        images[mask] = images[mask & (mask - 1)] | action_masks[low]
+    # the finite ideal as atom masks in canonical order; each element less
+    # its highest atom comes before it, so one pass fills the image under
+    # the hom and the target mass of every element
+    order = sorted(_submasks(domain._fin), key=_ids)
+    atom_masks, tgt_weights = hom.atom_masks, phi.target.weights
+    images: dict[int, int] = {0: 0}
+    mu2: dict[int, Fraction] = {0: Fraction(0)}
+    for mask in order[1:]:
+        high = mask.bit_length() - 1
+        rest = mask ^ (1 << high)
+        images[mask] = images[rest] | atom_masks[high]
+        mu2[mask] = mu2[rest] + tgt_weights[high].as_fraction()
 
     infinite_src = phi.source._nonnull_mask ^ phi.source._fin_mask
-    if images[-1] & infinite_src:
+    if images[domain._fin] & infinite_src:
         return BruteForceReport(UNBOUNDED, None, None)  # fin ideal broken
 
-    # target-side masses over the finite ideal
-    mu2 = [Fraction(0)] * (1 << nf)
-    fin_weights = [phi.target.weights[b].as_fraction() for b in fin]
-    for mask in range(1, 1 << nf):
-        low = (mask & -mask).bit_length() - 1
-        mu2[mask] = mu2[mask & (mask - 1)] + fin_weights[low]
-
-    mu1_cache: dict[int, Fraction] = {0: Fraction(0)}
+    src_weights = phi.source.weights
+    mu1_cache: dict[int, Fraction] = {}
 
     def mu1(mask: int) -> Fraction:
         got = mu1_cache.get(mask)
-        if got is not None:
-            return got
-        # strip low bits down to a cached submask, then add them back in
-        # turn; a loop, so a mask of thousands of bits stays in one frame
-        chain = []
-        while got is None:
-            chain.append(mask)
-            mask &= mask - 1
-            got = mu1_cache.get(mask)
-        for mask in reversed(chain):
-            low = (mask & -mask).bit_length() - 1
-            got += src_weights[low].as_fraction()
+        if got is None:
+            got = Fraction(0)
+            for a in _ids(mask):
+                got += src_weights[a].as_fraction()
             mu1_cache[mask] = got
         return got
 
-    def mask_key(mask: int) -> tuple[int, ...]:
-        return tuple(fin[i] for i in range(nf) if mask >> i & 1)
-
-    order = sorted(range(1 << nf), key=mask_key)
     if len(order) < 2:
         return BruteForceReport(CompressionResult.bounded(0), None, None)
 
@@ -505,10 +487,7 @@ def lipschitz_bruteforce(phi: MeasurableMap, budget: int = 12) -> BruteForceRepo
             break
 
     pair = empty_pair if empty_pair is not None else best_pair
-    witness = (
-        domain.element(mask_key(pair[0])),
-        domain.element(mask_key(pair[1])),
-    )
+    witness = (AlgebraElement(domain, pair[0]), AlgebraElement(domain, pair[1]))
     return BruteForceReport(
         CompressionResult.bounded(best), witness, empty_pair is not None
     )

@@ -17,11 +17,14 @@ domain elements, the reference for the library's linear join and meet
 certificates; `enumerated_null_ideal_preserved` and
 `enumerated_well_definedness` walk every null target set and every pair
 of target sets equal mod null, the references for the library's
-one-pullback null-ideal laws. The `reference_*` functions are the
-functor-law path as it was before each object on it was built in one
-pass (`MeasureAlgebra`'s fields, `identity_map`, `induced_homomorphism`,
-`BooleanHom.apply` and `_pullback`), and `reference_disagreement` names
-the first map on which the library's path differs from them.
+one-pullback null-ideal laws; `reference_bruteforce` is the pair oracle
+on positions in `fin_atoms`, the reference for the library's oracle on
+atom masks. The other `reference_*` functions are the functor-law path
+as it was before each object on it was built in one pass (a space's atom
+classes, `MeasureAlgebra`'s fields, `identity_map`,
+`induced_homomorphism`, `BooleanHom.apply` and `_pullback`), and
+`reference_disagreement` names the first map on which the library's
+path differs from them.
 """
 
 from __future__ import annotations
@@ -42,11 +45,14 @@ import malg
 
 import malg.algebra
 import malg.maps
+import malg.spaces
 
 from malg import (
     UNBOUNDED,
     AlgebraElement,
     BooleanHom,
+    BruteForceReport,
+    BudgetExceeded,
     CompressionResult,
     ExtRational,
     ForeignElement,
@@ -280,6 +286,119 @@ def enumerated_well_definedness(phi: MeasurableMap) -> bool:
     return True
 
 
+def reference_bruteforce(phi: MeasurableMap, budget: int = 12) -> BruteForceReport:
+    """lipschitz_bruteforce as it was before it enumerated atom masks:
+    elements are masks over positions in `fin_atoms`, two tables filled by
+    one recurrence each, and a memo that walks a chain of submasks. The
+    hom is read through malg.maps, so a planted hom fault reaches it.
+
+    Maximize rho1(hom a, hom b) / rho2(a, b) over all pairs a != b.
+    Enumerates the full finite-measure ideal of the target algebra, so the
+    number of non-null target atoms must not exceed `budget` (default 12);
+    raises BudgetExceeded above that. A budget that is not exactly an int
+    (a bool included) raises TypeError.
+    """
+    if type(budget) is not int:
+        raise TypeError(f"budget must be an int, not {budget!r}")
+    domain = build_algebra(phi.target)
+    n_nonnull = len(domain.nonnull_atoms)
+    if n_nonnull > budget:
+        raise BudgetExceeded(
+            f"{n_nonnull} non-null target atoms exceed the budget of {budget}"
+        )
+    if not is_inverse_nil_preserving(phi):
+        return BruteForceReport(UNBOUNDED, None, None)
+    hom = malg.maps.induced_homomorphism(phi)
+
+    # target elements are masks over positions in `fin`; their images are
+    # source atom masks
+    fin = domain.fin_atoms
+    nf = len(fin)
+    action_masks = [hom.atom_masks[b] for b in fin]
+    src_weights = phi.source.weights
+
+    # image under the hom, per finite-ideal mask
+    images = [0] * (1 << nf)
+    for mask in range(1, 1 << nf):
+        low = (mask & -mask).bit_length() - 1
+        images[mask] = images[mask & (mask - 1)] | action_masks[low]
+
+    infinite_src = phi.source._nonnull_mask ^ phi.source._fin_mask
+    if images[-1] & infinite_src:
+        return BruteForceReport(UNBOUNDED, None, None)  # fin ideal broken
+
+    # target-side masses over the finite ideal
+    mu2 = [Fraction(0)] * (1 << nf)
+    fin_weights = [phi.target.weights[b].as_fraction() for b in fin]
+    for mask in range(1, 1 << nf):
+        low = (mask & -mask).bit_length() - 1
+        mu2[mask] = mu2[mask & (mask - 1)] + fin_weights[low]
+
+    mu1_cache: dict[int, Fraction] = {0: Fraction(0)}
+
+    def mu1(mask: int) -> Fraction:
+        got = mu1_cache.get(mask)
+        if got is not None:
+            return got
+        # strip low bits down to a cached submask, then add them back in
+        # turn; a loop, so a mask of thousands of bits stays in one frame
+        chain = []
+        while got is None:
+            chain.append(mask)
+            mask &= mask - 1
+            got = mu1_cache.get(mask)
+        for mask in reversed(chain):
+            low = (mask & -mask).bit_length() - 1
+            got += src_weights[low].as_fraction()
+            mu1_cache[mask] = got
+        return got
+
+    def mask_key(mask: int) -> tuple[int, ...]:
+        return tuple(fin[i] for i in range(nf) if mask >> i & 1)
+
+    order = sorted(range(1 << nf), key=mask_key)
+    if len(order) < 2:
+        return BruteForceReport(CompressionResult.bounded(0), None, None)
+
+    best: Optional[Fraction] = None
+    best_pair: Optional[tuple[int, int]] = None
+    for a in order:
+        img_a = images[a]
+        for b in order:
+            if a == b:
+                continue
+            ratio = mu1(img_a ^ images[b]) / mu2[a ^ b]
+            if best is None or ratio > best:
+                best = ratio
+                best_pair = (a, b)
+
+    empty_pair: Optional[tuple[int, int]] = None
+    for a in order:
+        if a == 0:
+            continue
+        if mu1(images[a]) / mu2[a] == best:
+            empty_pair = (a, 0)
+            break
+
+    pair = empty_pair if empty_pair is not None else best_pair
+    witness = (
+        domain.element(mask_key(pair[0])),
+        domain.element(mask_key(pair[1])),
+    )
+    return BruteForceReport(
+        CompressionResult.bounded(best), witness, empty_pair is not None
+    )
+
+
+def reference_atom_classes(weights) -> tuple:
+    """The null, non-null and finite atoms of a space with these weights,
+    as ids and as masks, read off each weight."""
+    null = tuple(i for i, w in enumerate(weights) if w.is_zero)
+    nonnull = tuple(i for i, w in enumerate(weights) if not w.is_zero)
+    fin = tuple(i for i in nonnull if not weights[i].is_infinite)
+    return null, nonnull, fin, _mask(null), _mask(nonnull), _mask(fin)
+
+
 def reference_algebra_fields(space: FiniteMeasureSpace) -> tuple:
     """MeasureAlgebra's (fin_atoms, _top, _fin) as it computed them before
     its one loop: a generator and two `_mask` calls."""
@@ -339,16 +458,27 @@ def _raised(fn, *args):
 def reference_disagreement(maps) -> Optional[tuple]:
     """The first (map, what differs) on which the library's functor-law
     path differs from the reference_* functions, or None. The library is
-    read through its modules, so a planted fault takes effect. Compared:
-    each side's algebra fields and identity map, the induced hom's atom
-    masks (or the exception it raises), `apply` on every domain element
-    and `_pullback` on every target mask."""
+    read through its modules, so a planted fault takes effect. Each side's
+    space is built again by malg.spaces.FiniteMeasureSpace, and compared
+    are its atom classes, with the classes read off its weights, and its
+    algebra fields and identity map; then the induced hom's atom masks (or
+    the exception it raises), `apply` on every domain element and
+    `_pullback` on every target mask."""
     for phi in maps:
         for space in (phi.source, phi.target):
-            alg = malg.algebra.MeasureAlgebra(space)
+            rebuilt = malg.spaces.FiniteMeasureSpace(
+                space.points, space.atoms, space.weights
+            )
+            classes = (
+                rebuilt.null_atom_ids, rebuilt.nonnull_atom_ids, rebuilt._fin_ids,
+                rebuilt._null_mask, rebuilt._nonnull_mask, rebuilt._fin_mask,
+            )
+            if classes != reference_atom_classes(space.weights):
+                return phi, "atom classes"
+            alg = malg.algebra.MeasureAlgebra(rebuilt)
             if (alg.fin_atoms, alg._top, alg._fin) != reference_algebra_fields(space):
                 return phi, "algebra fields"
-            ident = malg.maps.identity_map(space)
+            ident = malg.maps.identity_map(rebuilt)
             ref = reference_identity_map(space)
             if (ident.point_fn, ident.atom_preimages) != (
                 ref.point_fn, ref.atom_preimages

@@ -571,6 +571,30 @@ def _drop_lowest_image_atom(phi):
             "lipschitz_fast",
             id="lipschitz_fast-flipped-comparison",
         ),
+        # and the oracle's: a flipped comparison in its pair loop, a meet
+        # for the join in its images recurrence, a doubled target weight in
+        # its mass recurrence
+        *(
+            pytest.param(
+                "lipschitz_bruteforce",
+                mutated(malg.maps.lipschitz_bruteforce, old, new),
+                "lipschitz_bruteforce",
+                id=f"lipschitz_bruteforce-{name}",
+            )
+            for name, old, new in (
+                ("flipped-comparison", "ratio > best", "ratio < best"),
+                (
+                    "images-join-as-meet",
+                    "images[rest] | atom_masks[high]",
+                    "images[rest] & atom_masks[high]",
+                ),
+                (
+                    "target-weight-doubled",
+                    "mu2[rest] + tgt_weights[high].as_fraction()",
+                    "mu2[rest] + 2 * tgt_weights[high].as_fraction()",
+                ),
+            )
+        ),
     ],
 )
 def test_planted_fault_caught(capsys, monkeypatch, name, fault, odd_one_out):
@@ -816,11 +840,12 @@ def test_law_mutant_changes_functor_check(
 # check of each mask. A mutant is killed when the exit code or the report
 # bytes change, of theorem-check on 30 seeded instances or of functor-check
 # on the pinned id.json and phi.json; or when the functor-law path leaves
-# the reference on the 400 seed-0 random instances of the null-law maps; or
-# when BooleanHom accepts or names differently one of BAD_ATOM_MASKS. The last
-# field names why a survivor is equivalent there, and is None for a mutant
-# that must be killed. The first field is the module whose function is
-# mutated, or the class whose method is.
+# the reference on the 400 seed-0 random instances of the null-law maps,
+# whose spaces it builds again under the mutant; or when BooleanHom
+# accepts or names differently one of BAD_ATOM_MASKS. The last field names
+# why a survivor is equivalent there, and is None for a mutant that must
+# be killed. The first field is the module whose function is mutated, or
+# the class whose method is.
 HOM_MUTANTS = {
     "induced-top-dropped": (
         malg.maps, "induced_homomorphism", "mask & top", "mask", None
@@ -849,10 +874,11 @@ HOM_MUTANTS = {
         "_mask",
         "mask |= 1 << i",
         "mask ^= 1 << i",
-        # the two commands read _mask only through MeasureAlgebra.element,
-        # on the distinct ids of one atom or of a witness: ^= sets the same
-        # bits as |=
-        "equivalent over distinct atom ids",
+        # neither command reads _mask: the oracle builds its witnesses and
+        # lipschitz_fast reads its atom masses without MeasureAlgebra.element,
+        # the one reader of _mask in malg.algebra, and the reference leg
+        # builds no element from ids
+        "equivalent: no output reads _mask",
     ),
     # the space's atom classes, which its algebra copies as nonnull_atoms,
     # fin_atoms, _top and _fin

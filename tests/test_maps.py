@@ -43,6 +43,7 @@ from malg import (
 from malg.maps import _joins_certified, _meets_certified
 
 from helpers import (
+    drop_lowest_image_atom,
     enumerated_null_ideal_preserved,
     enumerated_well_definedness,
     mutated,
@@ -50,6 +51,7 @@ from helpers import (
     oracle_pushforward_masses,
     pair_scan_hom_laws,
     python_child_output,
+    reference_bruteforce,
     reference_disagreement,
 )
 from test_small_scope import build_map, canonical_forms
@@ -516,6 +518,37 @@ def test_three_routes_agree_on_random_instances():
         assert comp == fast == brute.result, f"instance {i}"
         if brute.result.is_bounded and brute.result.value > 0:
             assert brute.attained_at_empty is True
+
+
+def _oracle_outputs(phi, oracle) -> tuple:
+    """The oracle's value, witness masks and attained_at_empty on phi."""
+    report = oracle(phi)
+    witness = report.witness
+    masks = None if witness is None else tuple(elem.mask for elem in witness)
+    return report.result, masks, report.attained_at_empty
+
+
+def test_bruteforce_matches_reference(monkeypatch):
+    # the oracle on atom masks against the oracle on positions in fin_atoms,
+    # both read through malg.maps: on every small-scope form, on 100 random
+    # instances, and on those under a planted fault of the induced hom
+    maps = _null_law_maps()
+    forms = [phi for phi, _ in maps[:21_900]]
+    randoms = [phi for phi, _ in maps[-1200:-1100]]  # seed 0
+
+    def outputs(maps) -> list:
+        library = [_oracle_outputs(phi, malg.maps.lipschitz_bruteforce) for phi in maps]
+        assert library == [_oracle_outputs(phi, reference_bruteforce) for phi in maps]
+        return library
+
+    outputs(forms)
+    clean = outputs(randoms)
+    monkeypatch.setattr(
+        malg.maps,
+        "induced_homomorphism",
+        lambda phi: drop_lowest_image_atom(induced_homomorphism(phi)),
+    )
+    assert outputs(randoms) != clean  # the fault reaches both oracles
 
 
 def test_preimage_symmdiff_identity(phi, psi):

@@ -104,24 +104,40 @@ def _called_names(body):
     return names
 
 
-def test_inp_formulations_are_independent():
-    # acceptance criterion 2 asserts that the three formulations agree,
-    # which shows something only while each computes on its own
-    three = {
-        "is_inverse_nil_preserving",
-        "null_ideal_preserved",
-        "check_well_definedness",
-    }
+def _maps_functions(names):
+    """The top-level functions of maps.py with these names, by name."""
     tree = dict(_trees())["maps.py"]
     bodies = {
         node.name: node
         for node in tree.body
-        if isinstance(node, ast.FunctionDef) and node.name in three
+        if isinstance(node, ast.FunctionDef) and node.name in names
     }
-    assert set(bodies) == three
-    for name, body in bodies.items():
-        called = _called_names(body) & (three - {name})
+    assert set(bodies) == set(names)
+    return bodies
+
+
+def _assert_none_calls_another(names):
+    for name, body in _maps_functions(names).items():
+        called = _called_names(body) & (set(names) - {name})
         assert not called, f"maps.py {name} calls {sorted(called)}"
+
+
+def test_inp_formulations_are_independent():
+    # acceptance criterion 2 asserts that the three formulations agree,
+    # which shows something only while each computes on its own
+    _assert_none_calls_another(
+        {"is_inverse_nil_preserving", "null_ideal_preserved", "check_well_definedness"}
+    )
+
+
+def test_constant_routes_are_independent():
+    # the three routes to the constant check one another only while none
+    # reuses another's ratio code: none calls another, and the oracle
+    # measures no mass through the pushforward or the other two's sums
+    _assert_none_calls_another({"compression", "lipschitz_fast", "lipschitz_bruteforce"})
+    oracle = _maps_functions({"lipschitz_bruteforce"})["lipschitz_bruteforce"]
+    shared = _called_names(oracle) & {"pushforward", "mu_bar", "_weighted_sum"}
+    assert not shared, f"maps.py lipschitz_bruteforce calls {sorted(shared)}"
 
 
 def _quoted_annotations(tree):
