@@ -39,6 +39,7 @@ from .formats import (
 )
 from .instances import random_instance
 from .maps import (
+    DEFAULT_BUDGET,
     MeasurableMap,
     compose,
     compression,
@@ -52,8 +53,6 @@ from .metric import (
     compression_submultiplicativity,
     contravariance_check,
 )
-
-DEFAULT_BUDGET = 12
 
 
 class _Loader:

@@ -77,7 +77,7 @@ class FiniteMeasureSpace:
     # non-null atoms, and the finite ones among the non-null, as ids and as
     # masks; none takes part in == or hash
     __slots__ = (
-        "points", "atoms", "weights", "_atom_of", "_hash",
+        "points", "atoms", "weights", "_atom_of",
         "null_atom_ids", "nonnull_atom_ids", "_fin_ids",
         "_null_mask", "_nonnull_mask", "_fin_mask",
     )
@@ -127,7 +127,6 @@ class FiniteMeasureSpace:
         self._atom_of = {
             p: idx for idx, block in enumerate(self.atoms) for p in block
         }
-        self._hash = hash((self.points, self.atoms, self.weights))
         null, nonnull, fin = [], [], []
         nonnull_mask = fin_mask = 0
         for i, w in enumerate(self.weights):
@@ -187,7 +186,7 @@ class FiniteMeasureSpace:
         )
 
     def __hash__(self):
-        return self._hash
+        return hash((self.points, self.atoms, self.weights))
 
     def __repr__(self) -> str:
         return f"FiniteMeasureSpace({len(self.points)} points, {self.n_atoms} atoms)"

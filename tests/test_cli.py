@@ -8,7 +8,6 @@ import time
 
 import pytest
 
-import malg.algebra
 import malg.cli
 import malg.maps
 import malg.spaces
@@ -834,10 +833,9 @@ def test_law_mutant_changes_functor_check(
 
 
 # One-operator mutants of the functor-law path's one-pass builders:
-# induced_homomorphism's mask loop and INP guard, `_mask`'s join where
-# malg.algebra reads it, the loop of FiniteMeasureSpace.__init__ that sorts
-# the atoms into the classes every algebra copies, and BooleanHom.__init__'s
-# check of each mask. A mutant is killed when the exit code or the report
+# induced_homomorphism's mask loop and INP guard, the loop of
+# FiniteMeasureSpace.__init__ that sorts the atoms into the classes every
+# algebra copies, and BooleanHom.__init__'s check of each mask. A mutant is killed when the exit code or the report
 # bytes change, of theorem-check on 30 seeded instances or of functor-check
 # on the pinned id.json and phi.json; or when the functor-law path leaves
 # the reference on the 400 seed-0 random instances of the null-law maps,
@@ -868,17 +866,6 @@ HOM_MUTANTS = {
         # a preimage block lists each source atom once: ^= sets the same
         # bits as |=
         "equivalent over distinct atom ids",
-    ),
-    "mask-join-as-xor": (
-        malg.spaces,
-        "_mask",
-        "mask |= 1 << i",
-        "mask ^= 1 << i",
-        # neither command reads _mask: the oracle builds its witnesses and
-        # lipschitz_fast reads its atom masses without MeasureAlgebra.element,
-        # the one reader of _mask in malg.algebra, and the reference leg
-        # builds no element from ids
-        "equivalent: no output reads _mask",
     ),
     # the space's atom classes, which its algebra copies as nonnull_atoms,
     # fin_atoms, _top and _fin
@@ -1000,10 +987,10 @@ def test_hom_mutant_changes_reports(
     if isinstance(owner, type):
         monkeypatch.setattr(owner, fn_name, mutant)
     else:
-        # algebra imports _mask, and metric and cli induced_homomorphism,
-        # by name; a mutant that reaches no module would survive unread
+        # metric and cli import induced_homomorphism by name; a mutant that
+        # reaches no module would survive unread
         readers = [
-            target for target in (malg.algebra, malg.maps, malg.metric, malg.cli)
+            target for target in (malg.maps, malg.metric, malg.cli)
             if hasattr(target, fn_name)
         ]
         assert readers, f"no module reads {fn_name}"

@@ -4,7 +4,7 @@ import random
 import time
 from fractions import Fraction
 from functools import cache, reduce
-from itertools import product
+from itertools import chain, product
 from operator import and_, or_
 
 import pytest
@@ -40,7 +40,7 @@ from malg import (
     random_instance,
 )
 
-from malg.maps import _joins_certified, _meets_certified
+from malg.maps import _joins_certified
 
 from helpers import (
     drop_lowest_image_atom,
@@ -665,17 +665,22 @@ def _report_items(report):
 
 
 def _assert_matches_pair_scan(hom) -> set[str]:
-    """check_hom_laws gives the pair scan's report, and each certificate
-    holds exactly when the pair scan finds no counterexample to its law
-    (a certificate that is too strict would leave the reports alike and
-    only cost the pair scan). Returns the violated laws."""
+    """check_hom_laws gives the pair scan's report; the join certificate
+    holds exactly when the pair scan finds no counterexample to joins, and
+    the certificate with no complement counterexample exactly when it
+    finds no violation at all (a test that is too strict would leave the
+    reports alike and only cost the pair scans). Returns the violated
+    laws."""
     report = check_hom_laws(hom)
     reference = pair_scan_hom_laws(hom)
     assert _report_items(report) == _report_items(reference)
     image = {e.mask: hom.apply(e).mask for e in hom.domain.all_elements()}
+    top, codomain_top = hom.domain.top.mask, hom.codomain.top.mask
+    complements = all(image[a ^ top] == image[a] ^ codomain_top for a in image)
+    joins = _joins_certified(image)
     laws = {v.law for v in reference.violations}
-    assert _joins_certified(image) == ("preserves-join" not in laws)
-    assert _meets_certified(image, hom.domain.top.mask) == ("preserves-meet" not in laws)
+    assert joins == ("preserves-join" not in laws)
+    assert (joins and complements) == (not laws)
     return laws
 
 
@@ -690,17 +695,22 @@ def _law_algebras():
         yield build_algebra(make_space(points, [[x] for x in points], list(ws)))
 
 
-def test_check_hom_laws_matches_pair_scan_on_small_homs():
+def _small_homs():
+    """Every hom between the law algebras of at most 3 non-null atoms."""
     algebras = [alg for alg in _law_algebras() if len(alg.nonnull_atoms) <= 3]
-    laws = set()
-    n_homs = 0
     for domain, codomain in product(algebras, repeat=2):
         atoms = domain.nonnull_atoms
         masks = [e.mask for e in codomain.all_elements()]
         for images in product(masks, repeat=len(atoms)):
-            hom = BooleanHom(domain, codomain, dict(zip(atoms, images)))
-            laws |= _assert_matches_pair_scan(hom)
-            n_homs += 1
+            yield BooleanHom(domain, codomain, dict(zip(atoms, images)))
+
+
+def test_check_hom_laws_matches_pair_scan_on_small_homs():
+    laws = set()
+    n_homs = 0
+    for hom in _small_homs():
+        laws |= _assert_matches_pair_scan(hom)
+        n_homs += 1
     assert n_homs == 875
     # a join of atom images always keeps zero and joins
     assert laws == {"preserves-top", "preserves-meet", "preserves-complement"}
@@ -717,8 +727,10 @@ class _FromTable(BooleanHom):
 def _faulty_tables(rng, domain, codomain):
     """Seeded image tables: a join of arbitrary atom images over an
     arbitrary image of zero (it keeps joins), its dual (it keeps meets),
-    and a lawful table with the image of zero, of top or of one other
-    element replaced."""
+    arbitrary images of the elements without the highest atom with the
+    complements of those images on their complements (it keeps
+    complements), and a lawful table with the image of zero, of top or of
+    one other element replaced."""
     elements = [e.mask for e in domain.all_elements()]
     atoms = domain.nonnull_atoms
     top, codomain_top = domain.top.mask, codomain.top.mask
@@ -745,38 +757,82 @@ def _faulty_tables(rng, domain, codomain):
     for j in codomain.nonnull_atoms:
         cover[rng.randrange(len(atoms))] |= 1 << j
     lawful = joined(0, cover)
+    complemented = {}
+    for a in elements:
+        if not a >> atoms[-1] & 1:
+            complemented[a] = arbitrary()
+            complemented[a ^ top] = complemented[a] ^ codomain_top
     tables = [
         ("join-form", joined(arbitrary(), [arbitrary() for _ in atoms])),
         ("meet-form", met(arbitrary(), [arbitrary() for _ in atoms])),
+        ("complement-form", complemented),
     ]
     for a in (0, top, rng.choice(elements)):
         tables.append(("replaced", {**lawful, a: arbitrary()}))
     return tables
 
 
-def test_check_hom_laws_matches_pair_scan_on_faulty_tables():
+def _faulty_homs():
+    """(kind, hom) for 40 seeded rounds of _faulty_tables over every pair
+    of law algebras with a non-null atom."""
     rng = random.Random(12)
     algebras = [alg for alg in _law_algebras() if alg.nonnull_atoms]
-    seen = set()
     for _ in range(40):
         for domain, codomain in product(algebras, repeat=2):
             for kind, table in _faulty_tables(rng, domain, codomain):
                 hom = _FromTable(domain, codomain, dict.fromkeys(domain.nonnull_atoms, 0))
                 hom.table = table
-                laws = _assert_matches_pair_scan(hom)
-                if kind == "join-form":
-                    assert "preserves-join" not in laws
-                if kind == "meet-form":
-                    assert "preserves-meet" not in laws
-                seen.add(frozenset(laws & {"preserves-join", "preserves-meet"}))
-                seen.update(laws & {"preserves-zero", "preserves-top"})
+                yield kind, hom
+
+
+def test_check_hom_laws_matches_pair_scan_on_faulty_tables():
+    seen = set()
+    for kind, hom in _faulty_homs():
+        laws = _assert_matches_pair_scan(hom)
+        if kind == "join-form":
+            assert "preserves-join" not in laws
+        if kind == "meet-form":
+            assert "preserves-meet" not in laws
+        if kind == "complement-form":
+            assert "preserves-complement" not in laws
+            if "preserves-join" in laws:
+                seen.add("complement kept, join broken")
+        seen.add(frozenset(laws & {"preserves-join", "preserves-meet"}))
+        seen.update(laws & {"preserves-zero", "preserves-top"})
     assert seen >= {
         frozenset({"preserves-join"}),
         frozenset({"preserves-meet"}),
         frozenset({"preserves-join", "preserves-meet"}),
         "preserves-zero",
         "preserves-top",
+        "complement kept, join broken",
     }
+
+
+# One-operator mutants of check_hom_laws's shortcut, the one test that
+# decides a table lawful; each must give some hom a report that differs
+# from the pair scan's. Only the complement-form tables keep complements
+# while breaking joins, so they alone kill the mutant without the join
+# certificate.
+SHORTCUT_MUTANTS = {
+    "and-as-or": "bad is None or _joins_certified(image)",
+    "join-certificate-dropped": "bad is None",
+    "complement-condition-dropped": "_joins_certified(image)",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHORTCUT_MUTANTS))
+def test_shortcut_mutant_leaves_pair_scan(name):
+    mutant = mutated(
+        malg.maps.check_hom_laws,
+        "bad is None and _joins_certified(image)",
+        SHORTCUT_MUTANTS[name],
+    )
+    homs = chain(_small_homs(), (hom for _, hom in _faulty_homs()))
+    assert any(
+        _report_items(mutant(hom)) != _report_items(pair_scan_hom_laws(hom))
+        for hom in homs
+    )
 
 
 def test_check_hom_laws_linear_in_elements():
