@@ -19,7 +19,7 @@ from typing import Iterable, Mapping
 from .errors import ForeignElement, ForeignFunction, ForeignSet, NotInFinIdeal
 from .rationals import ExtRational, to_fraction
 from .spaces import (
-    FiniteMeasureSpace, MeasurableSet, _ids, _mask, _submasks, _weighted_sum
+    FiniteMeasureSpace, MeasurableSet, _AtomMask, _ids, _mask, _submasks, _weighted_sum
 )
 
 
@@ -56,12 +56,14 @@ class MeasureAlgebra:
 
     def all_elements(self) -> list["AlgebraElement"]:
         """Every element, in canonical order (lexicographic on sorted ids)."""
-        ordered = sorted(_submasks(self._top), key=_ids)
-        return [AlgebraElement(self, mask) for mask in ordered]
+        return self._elements_below(self._top)
 
     def fin_elements(self) -> list["AlgebraElement"]:
         """Elements of finite measure, in canonical order."""
-        ordered = sorted(_submasks(self._fin), key=_ids)
+        return self._elements_below(self._fin)
+
+    def _elements_below(self, top: int) -> list["AlgebraElement"]:
+        ordered = sorted(_submasks(top), key=_ids)
         return [AlgebraElement(self, mask) for mask in ordered]
 
     def __eq__(self, other) -> bool:
@@ -78,23 +80,20 @@ class MeasureAlgebra:
         return f"MeasureAlgebra({len(self.nonnull_atoms)} non-null atoms)"
 
 
-class AlgebraElement:
+class AlgebraElement(_AtomMask):
     """Canonical representative of a class: bit i of `mask` is non-null atom i."""
 
-    __slots__ = ("algebra", "mask")
-
-    def __init__(self, algebra: MeasureAlgebra, mask: int):
-        if type(mask) is not int:
-            raise TypeError(f"an element's atom mask must be an int, not {mask!r}")
-        # a negative mask has infinitely many bits: _ids would never stop on it
-        if mask < 0 or mask & ~algebra._top:
-            raise ValueError(f"atom mask {mask:#b} has null or out-of-range atoms")
-        self.algebra = algebra
-        self.mask = mask
-
-    @property
-    def atom_ids(self) -> frozenset[int]:
-        return frozenset(_ids(self.mask))
+    __slots__ = ()
+    __init__ = _AtomMask.__init__  # its own, where the bench tracer patches it
+    algebra = _AtomMask._owner
+    _expected = "expected an AlgebraElement"
+    _type_message = "an element's atom mask must be an int, not {mask!r}"
+    _range_message = "atom mask {mask:#b} has null or out-of-range atoms"
+    _foreign = ForeignElement
+    _foreign_message = "elements belong to different algebras"
+    meet = _AtomMask.__and__
+    join = _AtomMask.__or__
+    symmdiff = _AtomMask.__xor__
 
     @property
     def sort_key(self) -> tuple[int, ...]:
@@ -103,38 +102,6 @@ class AlgebraElement:
     @property
     def is_zero(self) -> bool:
         return not self.mask
-
-    def _check_same_algebra(self, other: "AlgebraElement") -> int:
-        if not isinstance(other, AlgebraElement):
-            raise TypeError("expected an AlgebraElement")
-        if self.algebra != other.algebra:
-            raise ForeignElement("elements belong to different algebras")
-        return other.mask
-
-    def meet(self, other: "AlgebraElement") -> "AlgebraElement":
-        return AlgebraElement(self.algebra, self.mask & self._check_same_algebra(other))
-
-    def join(self, other: "AlgebraElement") -> "AlgebraElement":
-        return AlgebraElement(self.algebra, self.mask | self._check_same_algebra(other))
-
-    def symmdiff(self, other: "AlgebraElement") -> "AlgebraElement":
-        return AlgebraElement(self.algebra, self.mask ^ self._check_same_algebra(other))
-
-    def complement(self) -> "AlgebraElement":
-        return AlgebraElement(self.algebra, self.mask ^ self.algebra._top)
-
-    __and__ = meet
-    __or__ = join
-    __xor__ = symmdiff
-    __invert__ = complement
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        return self.algebra == other.algebra and self.mask == other.mask
-
-    def __hash__(self):
-        return hash((self.algebra, self.mask))
 
     def __repr__(self) -> str:
         return f"AlgebraElement({list(self.sort_key)})"
@@ -178,14 +145,14 @@ def build_algebra(space: FiniteMeasureSpace) -> MeasureAlgebra:
 
 def project(algebra: MeasureAlgebra, mset: MeasurableSet) -> AlgebraElement:
     """Class of a measurable set: its atoms with the null ones dropped."""
-    if mset.space != algebra.space:
+    if MeasurableSet._expect(mset).space != algebra.space:
         raise ForeignSet("set belongs to a different space")
     return AlgebraElement(algebra, mset.mask & algebra._top)
 
 
 def mu_bar(elem: AlgebraElement) -> ExtRational:
     """Quotient measure: the weight sum of the element's atoms."""
-    return _weighted_sum(elem.algebra.space.weights, elem.mask)
+    return _weighted_sum(AlgebraElement._expect(elem).algebra.space.weights, elem.mask)
 
 
 def is_fin(elem: AlgebraElement) -> bool:
@@ -195,7 +162,7 @@ def is_fin(elem: AlgebraElement) -> bool:
 
 def rho(a: AlgebraElement, b: AlgebraElement) -> Fraction:
     """Symmetric-difference distance, defined only on the finite ideal."""
-    a._check_same_algebra(b)
+    a._same_owner(b)
     if not is_fin(a) or not is_fin(b):
         raise NotInFinIdeal("rho is defined only on elements of finite measure")
     return mu_bar(a.symmdiff(b)).as_fraction()
@@ -207,8 +174,8 @@ def rho_c(a: AlgebraElement, b: AlgebraElement, c: AlgebraElement) -> Fraction:
     Defined for arbitrary a, b as long as c has finite measure; for each
     fixed c this is a pseudometric, dominated by rho where rho is defined.
     """
-    a._check_same_algebra(b)
-    a._check_same_algebra(c)
+    a._same_owner(b)
+    a._same_owner(c)
     if not is_fin(c):
         raise NotInFinIdeal("the localizing element c must have finite measure")
     return mu_bar(a.symmdiff(b).meet(c)).as_fraction()

@@ -34,9 +34,7 @@ def _coerce_weight(raw, position: int) -> ExtRational:
     return INF if frac is None else ExtRational(frac)
 
 
-# Atom bitmasks: bit i of a mask stands for atom i. Sets and algebra
-# elements store one; the helpers below are shared by spaces, algebra, maps
-# and metric.
+# Atom bitmask helpers (bit i stands for atom i), shared across the package.
 
 
 def _mask(ids: Iterable[int]) -> int:
@@ -73,13 +71,13 @@ def _weighted_sum(weights: Sequence[ExtRational], mask: int) -> ExtRational:
 class FiniteMeasureSpace:
     """Immutable finite measure space; build with :func:`make_space`."""
 
-    # the atom classes, computed once from the weights: the null and
-    # non-null atoms, and the finite ones among the non-null, as ids and as
-    # masks; none takes part in == or hash
+    # the mask of all atoms, and the atom classes computed once from the
+    # weights: the null and non-null atoms, and the finite ones among the
+    # non-null, as ids and as masks; none takes part in == or hash
     __slots__ = (
         "points", "atoms", "weights", "_atom_of",
         "null_atom_ids", "nonnull_atom_ids", "_fin_ids",
-        "_null_mask", "_nonnull_mask", "_fin_mask",
+        "_top", "_null_mask", "_nonnull_mask", "_fin_mask",
     )
 
     points: tuple[str, ...]
@@ -142,7 +140,8 @@ class FiniteMeasureSpace:
         self.null_atom_ids = tuple(null)
         self.nonnull_atom_ids = tuple(nonnull)
         self._fin_ids = tuple(fin)
-        self._null_mask = nonnull_mask ^ ((1 << len(self.atoms)) - 1)
+        self._top = (1 << len(self.atoms)) - 1
+        self._null_mask = nonnull_mask ^ self._top
         self._nonnull_mask = nonnull_mask
         self._fin_mask = fin_mask
 
@@ -169,7 +168,7 @@ class FiniteMeasureSpace:
         return MeasurableSet(self, 0)
 
     def full_set(self) -> "MeasurableSet":
-        return MeasurableSet(self, (1 << self.n_atoms) - 1)
+        return MeasurableSet(self, self._top)
 
     def atom_set(self, atom_ids: Iterable[int]) -> "MeasurableSet":
         return MeasurableSet(self, _mask(atom_ids))
@@ -192,57 +191,75 @@ class FiniteMeasureSpace:
         return f"FiniteMeasureSpace({len(self.points)} points, {self.n_atoms} atoms)"
 
 
-class MeasurableSet:
-    """A union of atoms of one space: bit i of `mask` is atom i."""
+class _AtomMask:
+    """Atoms of one owner (a space or an algebra) as an int, bit i for atom i;
+    results keep the caller's class, and sets never equal algebra elements."""
 
-    __slots__ = ("space", "mask")
+    __slots__ = ("_owner", "mask")
 
-    def __init__(self, space: FiniteMeasureSpace, mask: int):
+    def __init__(self, owner, mask: int):
         if type(mask) is not int:
-            raise TypeError(f"a set's atom mask must be an int, not {mask!r}")
-        if mask < 0 or mask >> space.n_atoms:
-            raise ValueError(f"atom mask {mask:#b} does not fit {space.n_atoms} atoms")
-        self.space = space
+            raise TypeError(self._type_message.format(mask=mask))
+        # a negative mask has infinitely many bits: _ids would never stop on it
+        if mask < 0 or mask & ~owner._top:
+            raise ValueError(self._range_message.format(mask=mask, owner=owner))
+        self._owner = owner
         self.mask = mask
+
+    @classmethod
+    def _expect(cls, value):
+        if not isinstance(value, cls):
+            raise TypeError(cls._expected)
+        return value
+
+    def _same_owner(self, other) -> int:
+        if self._owner != self._expect(other)._owner:
+            raise self._foreign(self._foreign_message)
+        return other.mask
 
     @property
     def atom_ids(self) -> frozenset[int]:
         return frozenset(_ids(self.mask))
 
-    def member_points(self) -> frozenset[str]:
-        return frozenset(p for i in _ids(self.mask) for p in self.space.atoms[i])
+    def __or__(self, other):
+        return type(self)(self._owner, self.mask | self._same_owner(other))
 
-    def _check_same_space(self, other: "MeasurableSet") -> int:
-        if not isinstance(other, MeasurableSet):
-            raise TypeError("expected a MeasurableSet")
-        if self.space != other.space:
-            raise ForeignSet("sets belong to different spaces")
-        return other.mask
+    def __and__(self, other):
+        return type(self)(self._owner, self.mask & self._same_owner(other))
 
-    def union(self, other: "MeasurableSet") -> "MeasurableSet":
-        return MeasurableSet(self.space, self.mask | self._check_same_space(other))
+    def __xor__(self, other):
+        return type(self)(self._owner, self.mask ^ self._same_owner(other))
 
-    def intersection(self, other: "MeasurableSet") -> "MeasurableSet":
-        return MeasurableSet(self.space, self.mask & self._check_same_space(other))
+    def complement(self):
+        return type(self)(self._owner, self.mask ^ self._owner._top)
 
-    def symmetric_difference(self, other: "MeasurableSet") -> "MeasurableSet":
-        return MeasurableSet(self.space, self.mask ^ self._check_same_space(other))
-
-    def complement(self) -> "MeasurableSet":
-        return MeasurableSet(self.space, self.mask ^ ((1 << self.space.n_atoms) - 1))
-
-    __or__ = union
-    __and__ = intersection
-    __xor__ = symmetric_difference
     __invert__ = complement
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, MeasurableSet):
+        if not isinstance(other, type(self)):
             return NotImplemented
-        return self.space == other.space and self.mask == other.mask
+        return self._owner == other._owner and self.mask == other.mask
 
     def __hash__(self):
-        return hash((self.space, self.mask))
+        return hash((self._owner, self.mask))
+
+
+class MeasurableSet(_AtomMask):
+    """A union of atoms of one space: bit i of `mask` is atom i."""
+
+    __slots__ = ()
+    space = _AtomMask._owner
+    _expected = "expected a MeasurableSet"
+    _type_message = "a set's atom mask must be an int, not {mask!r}"
+    _range_message = "atom mask {mask:#b} does not fit {owner.n_atoms} atoms"
+    _foreign = ForeignSet
+    _foreign_message = "sets belong to different spaces"
+    union = _AtomMask.__or__
+    intersection = _AtomMask.__and__
+    symmetric_difference = _AtomMask.__xor__
+
+    def member_points(self) -> frozenset[str]:
+        return frozenset(p for i in _ids(self.mask) for p in self.space.atoms[i])
 
     def __repr__(self) -> str:
         return f"MeasurableSet(atoms={list(_ids(self.mask))})"
@@ -262,7 +279,7 @@ def make_space(points: Sequence[str], partition, weights) -> FiniteMeasureSpace:
 
 def measure(space: FiniteMeasureSpace, mset: MeasurableSet) -> ExtRational:
     """Sum of the weights of the set's atoms; the empty set measures 0."""
-    if mset.space != space:
+    if MeasurableSet._expect(mset).space != space:
         raise ForeignSet("set belongs to a different space")
     return _weighted_sum(space.weights, mset.mask)
 

@@ -212,3 +212,40 @@ def test_measure_algebra_init_has_no_loop():
         assert not isinstance(node, loops), (
             f"algebra.py:{node.lineno} MeasureAlgebra.__init__ loops"
         )
+
+
+def test_one_copy_of_the_mask_value_code():
+    # MeasurableSet and AlgebraElement are one atom-mask value type: the
+    # checks, the operators, equality and hashing live in their shared base,
+    # so neither class defines them again or raises anything itself
+    trees = dict(_trees())
+    shared = {
+        "__init__", "__eq__", "__hash__", "atom_ids", "complement",
+        "__or__", "__and__", "__xor__", "__invert__",
+        "union", "intersection", "symmetric_difference", "meet", "join", "symmdiff",
+    }
+    for module, name in (("spaces.py", "MeasurableSet"), ("algebra.py", "AlgebraElement")):
+        cls = next(
+            node for node in trees[module].body
+            if isinstance(node, ast.ClassDef) and node.name == name
+        )
+        for node in ast.walk(cls):
+            if isinstance(node, ast.FunctionDef):
+                assert node.name not in shared, f"{module} {name} defines {node.name}"
+            assert not isinstance(node, ast.Raise), (
+                f"{module}:{node.lineno} {name} checks a mask itself"
+            )
+    # self.mask | ..., & ... and ^ ... appear in one class only
+    owners = set()
+    for module, tree in trees.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in ast.walk(cls):
+                if (
+                    isinstance(node, ast.BinOp)
+                    and isinstance(node.op, (ast.BitOr, ast.BitAnd, ast.BitXor))
+                    and ast.unparse(node.left) == "self.mask"
+                ):
+                    owners.add(f"{module} {cls.name}")
+    assert len(owners) == 1, f"mask operators are written in {sorted(owners)}"
