@@ -162,7 +162,7 @@ def is_fin(elem: AlgebraElement) -> bool:
 
 def rho(a: AlgebraElement, b: AlgebraElement) -> Fraction:
     """Symmetric-difference distance, defined only on the finite ideal."""
-    a._same_owner(b)
+    AlgebraElement._expect(a)._same_owner(b)
     if not is_fin(a) or not is_fin(b):
         raise NotInFinIdeal("rho is defined only on elements of finite measure")
     return mu_bar(a.symmdiff(b)).as_fraction()
@@ -174,7 +174,7 @@ def rho_c(a: AlgebraElement, b: AlgebraElement, c: AlgebraElement) -> Fraction:
     Defined for arbitrary a, b as long as c has finite measure; for each
     fixed c this is a pseudometric, dominated by rho where rho is defined.
     """
-    a._same_owner(b)
+    AlgebraElement._expect(a)._same_owner(b)
     a._same_owner(c)
     if not is_fin(c):
         raise NotInFinIdeal("the localizing element c must have finite measure")

@@ -217,7 +217,7 @@ def check_well_definedness(phi: MeasurableMap) -> bool:
     """
     nonnull_src = phi.source._nonnull_mask
     null_tgt = phi.target._null_mask
-    top = (1 << phi.target.n_atoms) - 1
+    top = phi.target._top
     return not (_pullback(phi, top) ^ _pullback(phi, top ^ null_tgt)) & nonnull_src
 
 

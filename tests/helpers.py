@@ -5,13 +5,15 @@ pushforward oracle works from the raw point function, the compression
 oracle scans every measurable target set against the defining
 inequality, and the scaled mass tables are re-derived from atom weights
 and cross-checked against the public rho before any law uses them.
-`drop_lowest_image_atom` is a planted hom fault shared by the CLI and
-metric tests, `mutated` plants a fault by recompiling one function with
-one snippet of its source replaced, `python_child_output` runs a child
-interpreter on the malg under test. `fraction_metric_check` is the
-metric axiom check in `Fraction` arithmetic, the reference for the
-library's integer check; `general_parse_rational` is the rational-string
-parser without a short path, the reference for the library's parser;
+`drop_lowest_image_atom` is a planted hom fault shared by the maps,
+metric and mutant tests. `mutated` plants a fault by recompiling one
+function with one snippet of its source replaced; only the one mutant
+registry, `tests/mutants.py`, calls it, and a source rule keeps it so.
+`python_child_output` runs a child interpreter on the malg under test.
+`fraction_metric_check` is the metric axiom check in `Fraction`
+arithmetic, the reference for the library's integer check;
+`general_parse_rational` is the rational-string parser without a short
+path, the reference for the library's parser;
 `pair_scan_hom_laws` is the hom-law check over every ordered pair of
 domain elements, the reference for the library's linear join and meet
 certificates; `enumerated_null_ideal_preserved` and

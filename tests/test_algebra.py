@@ -234,8 +234,13 @@ def test_wrong_argument_type_raises_type_error(s1):
         for fn in (partial(measure, s1), partial(is_null, s1), partial(project, alg)):
             with pytest.raises(TypeError, match="^expected a MeasurableSet$"):
                 fn(bad)
+    e = alg.top
     for bad in (0.5, 3, s1.full_set()):
-        for fn in (mu_bar, is_fin, chi_embed):
+        for fn in (
+            mu_bar, is_fin, chi_embed,
+            lambda x: rho(x, e), partial(rho, e),
+            lambda x: rho_c(x, e, e), lambda x: rho_c(e, x, e), partial(rho_c, e, e),
+        ):
             with pytest.raises(TypeError, match="^expected an AlgebraElement$"):
                 fn(bad)
 

@@ -8,20 +8,8 @@ import time
 
 import pytest
 
-import malg.cli
-import malg.maps
-import malg.spaces
 import malg.metric
-from malg import (
-    AlgebraElement,
-    ExtRational,
-    PushforwardMeasure,
-    identity_map,
-    induced_homomorphism,
-    make_map,
-    make_space,
-    mu_bar,
-)
+from malg import identity_map, make_map, make_space
 from malg.cli import main
 from malg.formats import (
     MAX_DISTANCE_DIGITS,
@@ -31,13 +19,15 @@ from malg.formats import (
     space_to_obj,
 )
 
-from helpers import (
-    drop_lowest_image_atom,
-    mutated,
-    python_child_output,
-    reference_disagreement,
+from helpers import python_child_output
+from mutants import (
+    FUNCTOR,
+    HOM,
+    ROUTE,
+    _drop_lowest_image_atom,
+    assert_verdict,
+    mutant_names,
 )
-from test_maps import _null_law_maps
 
 
 @pytest.fixture
@@ -523,92 +513,9 @@ def test_module_entry_point(phi_file):
     assert report["results"]["classification"]["compression"] == "5/6"
 
 
-def _skip_last_source_atom(phi):
-    # off-by-one: each preimage block loses its last source atom
-    masses = tuple(
-        sum((phi.source.weights[a] for a in block[:-1]), ExtRational(0))
-        for block in phi.atom_preimages
-    )
-    return PushforwardMeasure(phi.target, masses)
-
-
-def _lowest_atom_only(elem):
-    # counts only the lowest atom of the element
-    return mu_bar(AlgebraElement(elem.algebra, elem.mask & -elem.mask))
-
-
-def _drop_lowest_image_atom(phi):
-    # the images stay disjoint, so fast and the oracle still agree with
-    # each other
-    return drop_lowest_image_atom(induced_homomorphism(phi))
-
-
-@pytest.mark.parametrize(
-    "name, fault, odd_one_out",
-    [
-        # only compression reads the pushforward
-        ("pushforward", _skip_last_source_atom, "compression"),
-        # only lipschitz_fast reads mu_bar
-        ("mu_bar", _lowest_atom_only, "lipschitz_fast"),
-        # fast and the oracle share the hom, compression does not
-        ("induced_homomorphism", _drop_lowest_image_atom, "compression"),
-        # each route's own ratio arithmetic: a 1-ppm error in compression's
-        # division, a flipped comparison in fast's cross-multiplication
-        pytest.param(
-            "compression",
-            mutated(
-                malg.maps.compression,
-                "ratio = m.as_fraction() / w.as_fraction()",
-                "ratio = m.as_fraction() / w.as_fraction() * Fraction(1000001, 10**6)",
-            ),
-            "compression",
-            id="compression-division-1ppm",
-        ),
-        pytest.param(
-            "lipschitz_fast",
-            mutated(malg.maps.lipschitz_fast, "p * den > num * q", "p * den < num * q"),
-            "lipschitz_fast",
-            id="lipschitz_fast-flipped-comparison",
-        ),
-        # and the oracle's: a flipped comparison in its pair loop, a meet
-        # for the join in its images recurrence, a doubled target weight in
-        # its mass recurrence
-        *(
-            pytest.param(
-                "lipschitz_bruteforce",
-                mutated(malg.maps.lipschitz_bruteforce, old, new),
-                "lipschitz_bruteforce",
-                id=f"lipschitz_bruteforce-{name}",
-            )
-            for name, old, new in (
-                ("flipped-comparison", "ratio > best", "ratio < best"),
-                (
-                    "images-join-as-meet",
-                    "images[rest] | atom_masks[high]",
-                    "images[rest] & atom_masks[high]",
-                ),
-                (
-                    "target-weight-doubled",
-                    "mu2[rest] + tgt_weights[high].as_fraction()",
-                    "mu2[rest] + 2 * tgt_weights[high].as_fraction()",
-                ),
-            )
-        ),
-    ],
-)
-def test_planted_fault_caught(capsys, monkeypatch, name, fault, odd_one_out):
-    # cli imports the routes by name, so a route is patched there too
-    for module in (malg.maps, malg.cli):
-        if hasattr(module, name):
-            monkeypatch.setattr(module, name, fault)
-    code, report = run_cli(capsys, ["theorem-check", "--trials", "30", "--seed", "7"])
-    assert code == 1 and report["violations"]
-    # every violation shows the faulty route alone against the other two
-    routes = ("compression", "lipschitz_fast", "lipschitz_bruteforce")
-    for violation in report["violations"]:
-        witness = violation["witness"]
-        a, b = (witness[r] for r in routes if r != odd_one_out)
-        assert a == b != witness[odd_one_out]
+@pytest.mark.parametrize("name", mutant_names(ROUTE))
+def test_planted_fault_caught(name):
+    assert_verdict(name)
 
 
 def test_planted_fault_caught_by_functor_check(
@@ -761,240 +668,11 @@ def test_planted_fault_report_bytes_pinned(capsys, monkeypatch, pinned_documents
     assert _report_digest(capsys, argv, 1) == PLANTED_FAULT_SHA256[fmt]
 
 
-# One-operator mutants of the two functor-law checks. A mutant is killed
-# when functor-check's exit code or report bytes on the pinned id.json and
-# phi.json change, on the clean pair or under the planted fault; the last
-# field names why a survivor is equivalent there, and is None for a
-# mutant that must be killed.
-LAW_MUTANTS = {
-    "composition-compose-check-flipped": (
-        "composition_law_violations",
-        "hom_g.domain != hom_gf.domain",
-        "hom_g.domain == hom_gf.domain",
-        None,
-    ),
-    "composition-codomain-check-flipped": (
-        "composition_law_violations",
-        "hom_f.codomain != hom_gf.codomain",
-        "hom_f.codomain == hom_gf.codomain",
-        None,
-    ),
-    "composition-comparison-flipped": (
-        "composition_law_violations",
-        "via_composite != via_factors",
-        "via_composite == via_factors",
-        None,
-    ),
-    "composition-join-as-meet": (
-        "composition_law_violations", "via_factors |=", "via_factors &=", None
-    ),
-    "composition-join-as-xor": (
-        "composition_law_violations",
-        "via_factors |=",
-        "via_factors ^=",
-        # induced homs send distinct atoms to disjoint images, and the
-        # planted fault keeps them disjoint: ^= joins them as |= does
-        "equivalent over disjoint images",
-    ),
-    "identity-comparison-flipped": (
-        "identity_law_violations", "image != 1 << b", "image == 1 << b", None
-    ),
-    "identity-atom-shifted": (
-        "identity_law_violations", "1 << b", "2 << b", None
-    ),
-}
+@pytest.mark.parametrize("name", mutant_names(FUNCTOR))
+def test_law_mutant_changes_functor_check(name):
+    assert_verdict(name)
 
 
-def _functor_check_outputs(capsys, monkeypatch) -> list:
-    """functor-check's exit code and report on id.json and phi.json,
-    on the clean pair and then under the planted fault."""
-
-    def run():
-        code = main(["functor-check", "id.json", "phi.json"])
-        return code, capsys.readouterr().out
-
-    clean = run()
-    with monkeypatch.context() as patch:
-        patch.setattr(malg.metric, "induced_homomorphism", _drop_lowest_image_atom)
-        return [clean, run()]
-
-
-@pytest.mark.parametrize("name", sorted(LAW_MUTANTS))
-def test_law_mutant_changes_functor_check(
-    capsys, monkeypatch, pinned_documents, name
-):
-    fn_name, old, new, equivalent = LAW_MUTANTS[name]
-    expected = _functor_check_outputs(capsys, monkeypatch)
-    assert [code for code, _ in expected] == [0, 1]
-    mutant = mutated(getattr(malg.metric, fn_name), old, new)
-    monkeypatch.setattr(malg.metric, fn_name, mutant)
-    survived = _functor_check_outputs(capsys, monkeypatch) == expected
-    assert survived == (equivalent is not None)
-
-
-# One-operator mutants of the functor-law path's one-pass builders:
-# induced_homomorphism's mask loop and INP guard, the loop of
-# FiniteMeasureSpace.__init__ that sorts the atoms into the classes every
-# algebra copies, and BooleanHom.__init__'s check of each mask. A mutant is killed when the exit code or the report
-# bytes change, of theorem-check on 30 seeded instances or of functor-check
-# on the pinned id.json and phi.json; or when the functor-law path leaves
-# the reference on the 400 seed-0 random instances of the null-law maps,
-# whose spaces it builds again under the mutant; or when BooleanHom
-# accepts or names differently one of BAD_ATOM_MASKS. The last field names
-# why a survivor is equivalent there, and is None for a mutant that must
-# be killed. The first field is the module whose function is mutated, or
-# the class whose method is.
-HOM_MUTANTS = {
-    "induced-top-dropped": (
-        malg.maps, "induced_homomorphism", "mask & top", "mask", None
-    ),
-    "induced-meet-as-join": (
-        malg.maps, "induced_homomorphism", "mask & top", "mask | top", None
-    ),
-    "induced-inp-guard-negated": (
-        malg.maps,
-        "induced_homomorphism",
-        "if not is_inverse_nil_preserving(phi):",
-        "if is_inverse_nil_preserving(phi):",
-        None,
-    ),
-    "induced-join-as-xor": (
-        malg.maps,
-        "induced_homomorphism",
-        "mask |= 1 << a",
-        "mask ^= 1 << a",
-        # a preimage block lists each source atom once: ^= sets the same
-        # bits as |=
-        "equivalent over distinct atom ids",
-    ),
-    # the space's atom classes, which its algebra copies as nonnull_atoms,
-    # fin_atoms, _top and _fin
-    "space-null-flipped": (
-        malg.spaces.FiniteMeasureSpace,
-        "__init__",
-        "if w.is_zero:",
-        "if not w.is_zero:",
-        None,
-    ),
-    "algebra-finiteness-flipped": (
-        malg.spaces.FiniteMeasureSpace,
-        "__init__",
-        "if not w.is_infinite:",
-        "if w.is_infinite:",
-        None,
-    ),
-    "algebra-top-join-as-meet": (
-        malg.spaces.FiniteMeasureSpace,
-        "__init__",
-        "nonnull_mask |= bit",
-        "nonnull_mask &= bit",
-        None,
-    ),
-    "algebra-fin-join-as-meet": (
-        malg.spaces.FiniteMeasureSpace,
-        "__init__",
-        "fin_mask |= bit",
-        "fin_mask &= bit",
-        None,
-    ),
-    "hom-type-check-flipped": (
-        malg.maps.BooleanHom,
-        "__init__",
-        "if type(mask) is not int:",
-        "if type(mask) is int:",
-        None,
-    ),
-    "hom-range-check-as-meet": (
-        malg.maps.BooleanHom,
-        "__init__",
-        "outside = ~codomain._top",
-        "outside = codomain._top",
-        None,
-    ),
-    "hom-checks-joined-by-and": (
-        malg.maps.BooleanHom,
-        "__init__",
-        "mask < 0 or mask & outside",
-        "mask < 0 and mask & outside",
-        None,
-    ),
-    "hom-sign-check-dropped": (
-        malg.maps.BooleanHom,
-        "__init__",
-        "if mask < 0 or mask & outside:",
-        "if mask & outside:",
-        # ~top is negative, so a negative mask meets it in infinitely many
-        # bits: the range check alone rejects it, with the same message
-        "equivalent: a negative mask leaves top",
-    ),
-}
-
-# Atom masks for the hom of phi (non-null atoms 0 and 1 into a codomain
-# with top 0b011), each bad in one way or, as the first two, in two; the
-# first bad mask in order is named, as a check of each mask in turn names it
-BAD_ATOM_MASKS = (
-    {0: -1, 1: 3.0},
-    {0: 3.0, 1: -1},
-    {0: 0b011, 1: True},
-    {0: 0b111, 1: 0},
-    {0: 0b100, 1: 0},  # the null atom alone: no bit inside top
-    {0: 0b011, 1: 0b1000},
-)
-
-
-def _hom_check_outputs(capsys, hom) -> list:
-    """Exit code and report of theorem-check on 30 seeded instances and
-    of functor-check on id.json and phi.json, the first disagreement with
-    the reference, and what BooleanHom makes of each of BAD_ATOM_MASKS on
-    hom's algebras; an exception that ends a run stands in for its
-    result."""
-    outputs = []
-    for argv in (
-        ["theorem-check", "--trials", "30", "--seed", "7"],
-        ["functor-check", "id.json", "phi.json"],
-    ):
-        try:
-            code = main(argv)
-        except Exception as exc:
-            code = type(exc).__name__
-        outputs.append((code, capsys.readouterr().out))
-    try:
-        random_maps = _null_law_maps()[-1200:-800]  # seed 0
-        found = reference_disagreement(phi for phi, _ in random_maps)
-        outputs.append(None if found is None else found[1])
-    except Exception as exc:
-        outputs.append(type(exc).__name__)
-    for masks in BAD_ATOM_MASKS:
-        try:
-            malg.maps.BooleanHom(hom.domain, hom.codomain, masks)
-            outputs.append("accepted")
-        except Exception as exc:
-            outputs.append((type(exc).__name__, str(exc)))
-    return outputs
-
-
-@pytest.mark.parametrize("name", sorted(HOM_MUTANTS))
-def test_hom_mutant_changes_reports(
-    capsys, monkeypatch, pinned_documents, phi, name
-):
-    owner, fn_name, old, new, equivalent = HOM_MUTANTS[name]
-    hom = induced_homomorphism(phi)
-    expected = _hom_check_outputs(capsys, hom)
-    (theorem_code, _), (functor_code, _), found, *bad_masks = expected
-    assert (theorem_code, functor_code, found) == (0, 0, None)
-    assert "accepted" not in bad_masks
-    mutant = mutated(getattr(owner, fn_name), old, new)
-    if isinstance(owner, type):
-        monkeypatch.setattr(owner, fn_name, mutant)
-    else:
-        # metric and cli import induced_homomorphism by name; a mutant that
-        # reaches no module would survive unread
-        readers = [
-            target for target in (malg.maps, malg.metric, malg.cli)
-            if hasattr(target, fn_name)
-        ]
-        assert readers, f"no module reads {fn_name}"
-        for target in readers:
-            monkeypatch.setattr(target, fn_name, mutant)
-    survived = _hom_check_outputs(capsys, hom) == expected
-    assert survived == (equivalent is not None)
+@pytest.mark.parametrize("name", mutant_names(HOM))
+def test_hom_mutant_changes_reports(name):
+    assert_verdict(name)

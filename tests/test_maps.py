@@ -3,9 +3,6 @@
 import random
 import time
 from fractions import Fraction
-from functools import cache, reduce
-from itertools import chain, product
-from operator import and_, or_
 
 import pytest
 
@@ -13,7 +10,6 @@ import malg.maps
 from malg import (
     INF,
     UNBOUNDED,
-    AlgebraElement,
     BooleanHom,
     BudgetExceeded,
     CompressionResult,
@@ -22,7 +18,6 @@ from malg import (
     NotInverseNilPreserving,
     NotMeasurable,
     UnknownPoint,
-    build_algebra,
     check_hom_laws,
     check_well_definedness,
     compose,
@@ -46,7 +41,6 @@ from helpers import (
     drop_lowest_image_atom,
     enumerated_null_ideal_preserved,
     enumerated_well_definedness,
-    mutated,
     oracle_compression,
     oracle_pushforward_masses,
     pair_scan_hom_laws,
@@ -54,7 +48,16 @@ from helpers import (
     reference_bruteforce,
     reference_disagreement,
 )
-from test_small_scope import build_map, canonical_forms
+from mutants import (
+    NULL,
+    SHORTCUT,
+    _faulty_homs,
+    _null_law_maps,
+    _report_items,
+    _small_homs,
+    assert_verdict,
+    mutant_names,
+)
 
 
 @pytest.fixture
@@ -164,32 +167,6 @@ def test_well_definedness_witness_values(psi, s1, s2):
     assert measure(s2, s2.atom_set([0])) == ExtRational(1)
 
 
-@cache
-def _null_law_maps() -> tuple:
-    """(map, is_inverse_nil_preserving) for all 21,900 small-scope forms
-    and 1,200 random instances (seeds 0, 7 and 11, a null target atom
-    forced on even indices)."""
-    maps = [build_map(form) for form in canonical_forms()]
-    maps += [
-        random_instance(seed, i, force_null_target=(i % 2 == 0))
-        for seed in (0, 7, 11)
-        for i in range(400)
-    ]
-    return tuple((phi, is_inverse_nil_preserving(phi)) for phi in maps)
-
-
-def _null_law_disagreements() -> int:
-    """Maps on which malg.maps' two null-ideal laws, read through the
-    module so a planted fault takes effect, differ from the per-atom
-    weight loop."""
-    return sum(
-        not (malg.maps.null_ideal_preserved(phi)
-             == malg.maps.check_well_definedness(phi)
-             == inp)
-        for phi, inp in _null_law_maps()
-    )
-
-
 def test_functor_path_matches_reference():
     # each object on the functor-law path, built in one pass, against the
     # path as it was before: algebra fields, identity maps, induced homs,
@@ -213,64 +190,9 @@ def test_null_laws_match_enumerations():
         ), phi
 
 
-# One-operator mutants of the one-pullback null-ideal laws and of
-# `_pullback`. A mutant is killed when the two laws and the per-atom weight
-# loop disagree on some map of _null_law_maps; the last field names why a
-# survivor is equivalent there, and is None for a mutant that must be
-# killed. The count of disagreeing maps (of 23,100) is noted for each.
-NULL_LAW_MUTANTS = {
-    "null-ideal-negated": (  # 23,100
-        "null_ideal_preserved", "return _weighted_sum", "return not _weighted_sum",
-        None,
-    ),
-    "null-ideal-pullback-emptied": (  # 6,924
-        "null_ideal_preserved",
-        "_pullback(phi, null_tgt)",
-        "_pullback(phi, null_tgt) & 0",
-        None,
-    ),
-    "well-defined-mod-null-as-join": (  # 15,723
-        "check_well_definedness", "& nonnull_src", "| nonnull_src", None
-    ),
-    "well-defined-null-kept": (  # 6,924
-        "check_well_definedness", "top ^ null_tgt", "top", None
-    ),
-    "well-defined-null-joined": (  # 6,924
-        "check_well_definedness", "top ^ null_tgt", "top | null_tgt", None
-    ),
-    "well-defined-difference-as-join": (  # 15,555
-        "check_well_definedness", ") ^ _pullback", ") | _pullback", None
-    ),
-    "well-defined-not-dropped": (  # 23,100
-        "check_well_definedness", "return not", "return", None
-    ),
-    "well-defined-top-short": (
-        "check_well_definedness",
-        "(1 << phi.target.n_atoms) - 1",
-        "(1 << phi.target.n_atoms) - 2",
-        # the XOR of the two preimages is the preimage of the null atoms
-        # whatever top is, so top without atom 0 decides the law as well
-        "equivalent: the XOR does not depend on top",
-    ),
-    "pullback-join-as-meet": ("_pullback", "pre |=", "pre &=", None),  # 6,924
-    "pullback-join-as-xor": (
-        "_pullback",
-        "pre |=",
-        "pre ^=",
-        # the preimage blocks of distinct target atoms are disjoint
-        "equivalent over disjoint preimage blocks",
-    ),
-}
-
-
-@pytest.mark.parametrize("name", sorted(NULL_LAW_MUTANTS))
-def test_null_law_mutant_breaks_agreement(monkeypatch, name):
-    fn_name, old, new, equivalent = NULL_LAW_MUTANTS[name]
-    _null_law_maps()  # built with the clean code
-    mutant = mutated(getattr(malg.maps, fn_name), old, new)
-    monkeypatch.setattr(malg.maps, fn_name, mutant)
-    survived = _null_law_disagreements() == 0
-    assert survived == (equivalent is not None)
+@pytest.mark.parametrize("name", mutant_names(NULL))
+def test_null_law_mutant_breaks_agreement(name):
+    assert_verdict(name)
 
 
 def test_null_laws_bounded_cost_on_hostile_target():
@@ -658,12 +580,6 @@ def test_hom_laws_random_instances():
     assert max(sizes) > 5
 
 
-def _report_items(report):
-    """Law names and witness items, in order: LawReport equality would
-    not see the order of the witness keys."""
-    return [(v.law, list(v.witness.items())) for v in report.violations]
-
-
 def _assert_matches_pair_scan(hom) -> set[str]:
     """check_hom_laws gives the pair scan's report; the join certificate
     holds exactly when the pair scan finds no counterexample to joins, and
@@ -684,27 +600,6 @@ def _assert_matches_pair_scan(hom) -> set[str]:
     return laws
 
 
-def _law_algebras():
-    """Measure algebras of 0 to 4 non-null atoms, some with a null atom
-    among them."""
-    weights = [
-        (0,), (1,), (1, 2), (2, 0, 1), (1, INF, 3), (1, 0, 2, 3, Fraction(1, 2)),
-    ]
-    for ws in weights:
-        points = [f"x{i}" for i in range(len(ws))]
-        yield build_algebra(make_space(points, [[x] for x in points], list(ws)))
-
-
-def _small_homs():
-    """Every hom between the law algebras of at most 3 non-null atoms."""
-    algebras = [alg for alg in _law_algebras() if len(alg.nonnull_atoms) <= 3]
-    for domain, codomain in product(algebras, repeat=2):
-        atoms = domain.nonnull_atoms
-        masks = [e.mask for e in codomain.all_elements()]
-        for images in product(masks, repeat=len(atoms)):
-            yield BooleanHom(domain, codomain, dict(zip(atoms, images)))
-
-
 def test_check_hom_laws_matches_pair_scan_on_small_homs():
     laws = set()
     n_homs = 0
@@ -714,75 +609,6 @@ def test_check_hom_laws_matches_pair_scan_on_small_homs():
     assert n_homs == 875
     # a join of atom images always keeps zero and joins
     assert laws == {"preserves-top", "preserves-meet", "preserves-complement"}
-
-
-class _FromTable(BooleanHom):
-    """Ignores its atom masks: apply reads each image off `table`, a
-    dict from domain masks to codomain masks, so it may break any law."""
-
-    def apply(self, elem):
-        return AlgebraElement(self.codomain, self.table[elem.mask])
-
-
-def _faulty_tables(rng, domain, codomain):
-    """Seeded image tables: a join of arbitrary atom images over an
-    arbitrary image of zero (it keeps joins), its dual (it keeps meets),
-    arbitrary images of the elements without the highest atom with the
-    complements of those images on their complements (it keeps
-    complements), and a lawful table with the image of zero, of top or of
-    one other element replaced."""
-    elements = [e.mask for e in domain.all_elements()]
-    atoms = domain.nonnull_atoms
-    top, codomain_top = domain.top.mask, codomain.top.mask
-
-    def arbitrary():
-        return rng.getrandbits(codomain_top.bit_length()) & codomain_top
-
-    def joined(base, atom_images):
-        # base joined with the images of each element's atoms
-        return {
-            a: reduce(or_, (g for i, g in zip(atoms, atom_images) if a >> i & 1), base)
-            for a in elements
-        }
-
-    def met(base, atom_images):
-        # base met with the images of the atoms missing from each element
-        return {
-            a: reduce(and_, (h for i, h in zip(atoms, atom_images) if not a >> i & 1), base)
-            for a in elements
-        }
-
-    # a lawful table: each codomain atom goes to the image of one domain atom
-    cover = [0] * len(atoms)
-    for j in codomain.nonnull_atoms:
-        cover[rng.randrange(len(atoms))] |= 1 << j
-    lawful = joined(0, cover)
-    complemented = {}
-    for a in elements:
-        if not a >> atoms[-1] & 1:
-            complemented[a] = arbitrary()
-            complemented[a ^ top] = complemented[a] ^ codomain_top
-    tables = [
-        ("join-form", joined(arbitrary(), [arbitrary() for _ in atoms])),
-        ("meet-form", met(arbitrary(), [arbitrary() for _ in atoms])),
-        ("complement-form", complemented),
-    ]
-    for a in (0, top, rng.choice(elements)):
-        tables.append(("replaced", {**lawful, a: arbitrary()}))
-    return tables
-
-
-def _faulty_homs():
-    """(kind, hom) for 40 seeded rounds of _faulty_tables over every pair
-    of law algebras with a non-null atom."""
-    rng = random.Random(12)
-    algebras = [alg for alg in _law_algebras() if alg.nonnull_atoms]
-    for _ in range(40):
-        for domain, codomain in product(algebras, repeat=2):
-            for kind, table in _faulty_tables(rng, domain, codomain):
-                hom = _FromTable(domain, codomain, dict.fromkeys(domain.nonnull_atoms, 0))
-                hom.table = table
-                yield kind, hom
 
 
 def test_check_hom_laws_matches_pair_scan_on_faulty_tables():
@@ -809,30 +635,9 @@ def test_check_hom_laws_matches_pair_scan_on_faulty_tables():
     }
 
 
-# One-operator mutants of check_hom_laws's shortcut, the one test that
-# decides a table lawful; each must give some hom a report that differs
-# from the pair scan's. Only the complement-form tables keep complements
-# while breaking joins, so they alone kill the mutant without the join
-# certificate.
-SHORTCUT_MUTANTS = {
-    "and-as-or": "bad is None or _joins_certified(image)",
-    "join-certificate-dropped": "bad is None",
-    "complement-condition-dropped": "_joins_certified(image)",
-}
-
-
-@pytest.mark.parametrize("name", sorted(SHORTCUT_MUTANTS))
+@pytest.mark.parametrize("name", mutant_names(SHORTCUT))
 def test_shortcut_mutant_leaves_pair_scan(name):
-    mutant = mutated(
-        malg.maps.check_hom_laws,
-        "bad is None and _joins_certified(image)",
-        SHORTCUT_MUTANTS[name],
-    )
-    homs = chain(_small_homs(), (hom for _, hom in _faulty_homs()))
-    assert any(
-        _report_items(mutant(hom)) != _report_items(pair_scan_hom_laws(hom))
-        for hom in homs
-    )
+    assert_verdict(name)
 
 
 def test_check_hom_laws_linear_in_elements():

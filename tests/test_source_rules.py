@@ -249,3 +249,17 @@ def test_one_copy_of_the_mask_value_code():
                 ):
                     owners.add(f"{module} {cls.name}")
     assert len(owners) == 1, f"mask operators are written in {sorted(owners)}"
+
+
+def test_mutants_are_planted_by_the_registry_only():
+    # one registry and one kill oracle: a new mutant joins tests/mutants.py
+    # instead of starting a table of its own; test_helpers tests mutated
+    root = Path(__file__).parent.parent
+    for path in sorted([*root.glob("tests/**/*.py"), *root.glob("bench/**/*.py")]):
+        if path.name in ("mutants.py", "test_helpers.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                assert name != "mutated", f"{path.name}:{node.lineno} calls mutated"
