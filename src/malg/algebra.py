@@ -162,10 +162,11 @@ def is_fin(elem: AlgebraElement) -> bool:
 
 def rho(a: AlgebraElement, b: AlgebraElement) -> Fraction:
     """Symmetric-difference distance, defined only on the finite ideal."""
-    AlgebraElement._expect(a)._same_owner(b)
+    # the operator checks b's type and algebra
+    diff = AlgebraElement._expect(a).symmdiff(b)
     if not is_fin(a) or not is_fin(b):
         raise NotInFinIdeal("rho is defined only on elements of finite measure")
-    return mu_bar(a.symmdiff(b)).as_fraction()
+    return mu_bar(diff).as_fraction()
 
 
 def rho_c(a: AlgebraElement, b: AlgebraElement, c: AlgebraElement) -> Fraction:
@@ -174,11 +175,11 @@ def rho_c(a: AlgebraElement, b: AlgebraElement, c: AlgebraElement) -> Fraction:
     Defined for arbitrary a, b as long as c has finite measure; for each
     fixed c this is a pseudometric, dominated by rho where rho is defined.
     """
-    AlgebraElement._expect(a)._same_owner(b)
-    a._same_owner(c)
+    # the operators check the type and algebra of b, then of c
+    local = AlgebraElement._expect(a).symmdiff(b).meet(c)
     if not is_fin(c):
         raise NotInFinIdeal("the localizing element c must have finite measure")
-    return mu_bar(a.symmdiff(b).meet(c)).as_fraction()
+    return mu_bar(local).as_fraction()
 
 
 def chi_embed(elem: AlgebraElement) -> L1Function:

@@ -1,10 +1,19 @@
 """Independent oracles and exhaustive-check utilities for the tests.
 
-These deliberately avoid the code paths they are used to verify: the
-pushforward oracle works from the raw point function, the compression
-oracle scans every measurable target set against the defining
-inequality, and the scaled mass tables are re-derived from atom weights
-and cross-checked against the public rho before any law uses them.
+These deliberately avoid the code paths they are used to verify.
+`point_preimages` reads each map's preimages off its point function and
+the two spaces' point blocks alone, never off `atom_preimages`, and a
+source rule keeps it so. Over that table, `point_null_laws` decides the
+two null-ideal laws from their definitions, the reference for the
+library's one-pullback laws; `oracle_pushforward_masses` measures each
+target atom's point preimage; and `point_disagreement` names the first
+map on which the library's functor-law path (a space's atom classes,
+`MeasureAlgebra`'s fields, `identity_map`, `make_map`'s preimage blocks,
+`induced_homomorphism`, `BooleanHom.apply` and `_pullback`) differs from
+the point preimages. The compression oracle scans every measurable target
+set against the defining inequality, and the scaled mass tables are
+re-derived from atom weights and cross-checked against the public rho
+before any law uses them.
 `drop_lowest_image_atom` is a planted hom fault shared by the maps,
 metric and mutant tests. `mutated` plants a fault by recompiling one
 function with one snippet of its source replaced; only the one mutant
@@ -15,18 +24,9 @@ arithmetic, the reference for the library's integer check;
 `general_parse_rational` is the rational-string parser without a short
 path, the reference for the library's parser;
 `pair_scan_hom_laws` is the hom-law check over every ordered pair of
-domain elements, the reference for the library's linear join and meet
-certificates; `enumerated_null_ideal_preserved` and
-`enumerated_well_definedness` walk every null target set and every pair
-of target sets equal mod null, the references for the library's
-one-pullback null-ideal laws; `reference_bruteforce` is the pair oracle
-on positions in `fin_atoms`, the reference for the library's oracle on
-atom masks. The other `reference_*` functions are the functor-law path
-as it was before each object on it was built in one pass (a space's atom
-classes, `MeasureAlgebra`'s fields, `identity_map`,
-`induced_homomorphism`, `BooleanHom.apply` and `_pullback`), and
-`reference_disagreement` names the first map on which the library's
-path differs from them.
+domain elements, the reference for the library's join certificate and
+complement pass; `reference_bruteforce` is the pair oracle on positions
+in `fin_atoms`, the reference for the library's oracle on atom masks.
 """
 
 from __future__ import annotations
@@ -51,13 +51,11 @@ import malg.spaces
 
 from malg import (
     UNBOUNDED,
-    AlgebraElement,
     BooleanHom,
     BruteForceReport,
     BudgetExceeded,
     CompressionResult,
     ExtRational,
-    ForeignElement,
     InvalidRational,
     LawReport,
     LawViolation,
@@ -69,22 +67,53 @@ from malg import (
     is_inverse_nil_preserving,
     rho,
 )
-from malg.maps import _pullback
 from malg.rationals import INF_TOKEN, MAX_DIGITS
-from malg.spaces import FiniteMeasureSpace, _ids, _mask, _submasks
+
+
+def point_preimages(phi: MeasurableMap) -> list[int]:
+    """Entry t is the mask of the source atoms whose points all land in the
+    point blocks of the target atoms of mask t: phi's preimage of t, read
+    off `point_fn` and the two spaces' point blocks alone."""
+    target_atom = {q: b for b, block in enumerate(phi.target.atoms) for q in block}
+    hitting = {}  # a mask of target atoms hit: the source atoms hitting just those
+    for a, block in enumerate(phi.source.atoms):
+        hit = sum({1 << target_atom[phi.point_fn[p]] for p in block})
+        hitting[hit] = hitting.get(hit, 0) | 1 << a
+    table = [0] * (1 << len(phi.target.atoms))
+    for hit, atoms in hitting.items():
+        table = [pre | atoms if hit | t == t else pre for t, pre in enumerate(table)]
+    return table
+
+
+def point_null_laws(phi: MeasurableMap) -> tuple[bool, bool]:
+    """(null_ideal_preserved, check_well_definedness) from their
+    definitions over point_preimages, with null atoms read off the weights.
+
+    A target set is null when it has null atoms only; its preimage must be
+    null. Target sets s | n with s the same and n null are equal mod null;
+    the preimage of each is taken directly and must equal, mod null, that
+    of s. Equality mod null is an equivalence, so that covers every pair.
+    """
+    table = point_preimages(phi)
+    null_tgt = sum(1 << b for b, w in enumerate(phi.target.weights) if w.is_zero)
+    nonnull_src = sum(1 << a for a, w in enumerate(phi.source.weights) if not w.is_zero)
+    null_ideal = all(
+        not table[n] & nonnull_src for n in range(len(table)) if n | null_tgt == null_tgt
+    )
+    well_defined = all(
+        not (pre ^ table[t & ~null_tgt]) & nonnull_src for t, pre in enumerate(table)
+    )
+    return null_ideal, well_defined
 
 
 def oracle_pushforward_masses(phi: MeasurableMap) -> list[ExtRational]:
-    """Per-target-atom mass, recomputed from the point function alone."""
-    out = []
-    for block in phi.target.atoms:
-        block_points = set(block)
-        mass = ExtRational(0)
-        for a, src_block in enumerate(phi.source.atoms):
-            if all(phi.point_fn[p] in block_points for p in src_block):
-                mass = mass + phi.source.weights[a]
-        out.append(mass)
-    return out
+    """Per-target-atom mass: the source weights on each target atom's
+    point preimage."""
+    table, weights = point_preimages(phi), phi.source.weights
+    return [
+        sum((w for a, w in enumerate(weights) if table[1 << b] >> a & 1), ExtRational(0))
+        for b in range(len(phi.target.atoms))
+    ]
 
 
 def oracle_compression(phi: MeasurableMap) -> CompressionResult:
@@ -255,39 +284,6 @@ def pair_scan_hom_laws(hom: BooleanHom) -> LawReport:
     ))
 
 
-def enumerated_null_ideal_preserved(phi: MeasurableMap) -> bool:
-    """null_ideal_preserved as it was before its one pullback.
-
-    Enumerates all null target sets (exactly the unions of null atoms) and
-    measures their preimages; agrees with is_inverse_nil_preserving.
-    """
-    nonnull_src = _mask(phi.source.nonnull_atom_ids)
-    return not any(
-        _pullback(phi, n) & nonnull_src
-        for n in _submasks(_mask(phi.target.null_atom_ids))
-    )
-
-
-def enumerated_well_definedness(phi: MeasurableMap) -> bool:
-    """check_well_definedness as it was before its one pullback.
-
-    Enumerates every pair (S u N1, S u N2) with S over non-null target
-    atom subsets and N1, N2 over null-atom subsets; those are exactly the
-    pairs of target sets whose symmetric difference is null.
-    """
-    nonnull_src = _mask(phi.source.nonnull_atom_ids)
-    null_pres = [
-        _pullback(phi, n) for n in _submasks(_mask(phi.target.null_atom_ids))
-    ]
-    for s in _submasks(_mask(phi.target.nonnull_atom_ids)):
-        base = _pullback(phi, s)
-        for p1 in null_pres:
-            for p2 in null_pres:
-                if ((base | p1) ^ (base | p2)) & nonnull_src:
-                    return False
-    return True
-
-
 def reference_bruteforce(phi: MeasurableMap, budget: int = 12) -> BruteForceReport:
     """lipschitz_bruteforce as it was before it enumerated atom masks:
     elements are masks over positions in `fin_atoms`, two tables filled by
@@ -392,112 +388,85 @@ def reference_bruteforce(phi: MeasurableMap, budget: int = 12) -> BruteForceRepo
     )
 
 
-def reference_atom_classes(weights) -> tuple:
-    """The null, non-null and finite atoms of a space with these weights,
-    as ids and as masks, read off each weight."""
-    null = tuple(i for i, w in enumerate(weights) if w.is_zero)
-    nonnull = tuple(i for i, w in enumerate(weights) if not w.is_zero)
-    fin = tuple(i for i in nonnull if not weights[i].is_infinite)
-    return null, nonnull, fin, _mask(null), _mask(nonnull), _mask(fin)
+# how induced_homomorphism refuses a map that is not inverse-nil-preserving
+_REFUSAL = (NotInverseNilPreserving, "map pushes positive mass onto a null target atom")
 
 
-def reference_algebra_fields(space: FiniteMeasureSpace) -> tuple:
-    """MeasureAlgebra's (fin_atoms, _top, _fin) as it computed them before
-    its one loop: a generator and two `_mask` calls."""
-    nonnull_atoms = space.nonnull_atom_ids
-    fin_atoms = tuple(
-        i for i in nonnull_atoms if not space.weights[i].is_infinite
-    )
-    return fin_atoms, _mask(nonnull_atoms), _mask(fin_atoms)
-
-
-def reference_identity_map(space: FiniteMeasureSpace) -> MeasurableMap:
-    """identity_map as it was before it built one dict."""
-    preimages = tuple((a,) for a in range(space.n_atoms))
-    return MeasurableMap(space, space, {p: p for p in space.points}, preimages)
-
-
-def reference_induced_homomorphism(phi: MeasurableMap) -> BooleanHom:
-    """induced_homomorphism as it was before its one loop per atom."""
-    if not is_inverse_nil_preserving(phi):
-        raise NotInverseNilPreserving(
-            "map pushes positive mass onto a null target atom"
-        )
-    domain = build_algebra(phi.target)
-    codomain = build_algebra(phi.source)
-    pre, top = phi.atom_preimages, codomain._top
-    return BooleanHom(
-        domain, codomain, {b: _mask(pre[b]) & top for b in domain.nonnull_atoms}
-    )
-
-
-def reference_apply(hom: BooleanHom, elem: AlgebraElement) -> AlgebraElement:
-    """BooleanHom.apply as it was before it walked the set bits itself."""
-    if elem.algebra != hom.domain:
-        raise ForeignElement("element is not in the hom's domain algebra")
-    image = 0
-    for b in _ids(elem.mask):
-        image |= hom.atom_masks[b]
-    return AlgebraElement(hom.codomain, image)
-
-
-def reference_pullback(phi: MeasurableMap, target_mask: int) -> int:
-    """_pullback as it was before it walked the set bits itself."""
-    pre = 0
-    for b in _ids(target_mask):
-        pre |= _mask(phi.atom_preimages[b])
-    return pre
-
-
-def _raised(fn, *args):
-    """fn(*args), or the type and message of the MalgError it raises."""
-    try:
-        return fn(*args)
-    except NotInverseNilPreserving as exc:
-        return type(exc), str(exc)
-
-
-def reference_disagreement(maps) -> Optional[tuple]:
+def point_disagreement(maps) -> Optional[tuple]:
     """The first (map, what differs) on which the library's functor-law
-    path differs from the reference_* functions, or None. The library is
-    read through its modules, so a planted fault takes effect. Each side's
-    space is built again by malg.spaces.FiniteMeasureSpace, and compared
-    are its atom classes, with the classes read off its weights, and its
-    algebra fields and identity map; then the induced hom's atom masks (or
-    the exception it raises), `apply` on every domain element and
-    `_pullback` on every target mask."""
+    path differs from point preimages, or None. The library is read
+    through its modules, so a planted fault takes effect. Each side's space
+    is built again by malg.spaces.FiniteMeasureSpace; its atom classes, as
+    ids and as masks, and its algebra's fields must be those read off its
+    weights, and its identity map must fix every point and have the
+    preimage blocks of its points. Then the map built again by
+    malg.maps.make_map must have the preimage blocks of its points; the
+    induced hom must send each non-null target atom to its point preimage
+    without the null source atoms, or refuse exactly the maps that break
+    the null-ideal law; `apply` must do so on every domain element and
+    `_pullback` must give the point preimage of every target mask."""
+
+    built = set()  # a space is rebuilt from its points, atoms and weights alone
     for phi in maps:
         for space in (phi.source, phi.target):
+            if space in built:
+                continue
+            built.add(space)
             rebuilt = malg.spaces.FiniteMeasureSpace(
                 space.points, space.atoms, space.weights
             )
+            null = tuple(i for i, w in enumerate(space.weights) if w.is_zero)
+            nonnull = tuple(i for i, w in enumerate(space.weights) if not w.is_zero)
+            fin = tuple(i for i in nonnull if not space.weights[i].is_infinite)
+            masks = tuple(sum(1 << i for i in ids) for ids in (null, nonnull, fin))
             classes = (
                 rebuilt.null_atom_ids, rebuilt.nonnull_atom_ids, rebuilt._fin_ids,
                 rebuilt._null_mask, rebuilt._nonnull_mask, rebuilt._fin_mask,
             )
-            if classes != reference_atom_classes(space.weights):
+            if classes != (null, nonnull, fin, *masks):
                 return phi, "atom classes"
             alg = malg.algebra.MeasureAlgebra(rebuilt)
-            if (alg.fin_atoms, alg._top, alg._fin) != reference_algebra_fields(space):
+            if (alg.nonnull_atoms, alg.fin_atoms, alg._top, alg._fin) != (
+                nonnull, fin, *masks[1:]
+            ):
                 return phi, "algebra fields"
+            # the identity fixes every point, so each atom is its own preimage
             ident = malg.maps.identity_map(rebuilt)
-            ref = reference_identity_map(space)
             if (ident.point_fn, ident.atom_preimages) != (
-                ref.point_fn, ref.atom_preimages
+                {p: p for p in space.points}, tuple((a,) for a in range(len(space.atoms)))
             ):
                 return phi, "identity map"
-        hom = _raised(malg.maps.induced_homomorphism, phi)
-        ref = _raised(reference_induced_homomorphism, phi)
-        if isinstance(hom, BooleanHom) and isinstance(ref, BooleanHom):
-            if hom.atom_masks != ref.atom_masks:
+        table = point_preimages(phi)
+        blocks = tuple(
+            tuple(a for a in range(len(phi.source.atoms)) if table[1 << b] >> a & 1)
+            for b in range(len(phi.target.atoms))
+        )
+        remade = malg.maps.make_map(phi.source, phi.target, phi.point_fn)
+        if remade.atom_preimages != blocks:
+            return phi, "preimage blocks"
+        nonnull_src = sum(
+            1 << a for a, w in enumerate(phi.source.weights) if not w.is_zero
+        )
+        inp = point_null_laws(phi)[0]
+        try:
+            hom = malg.maps.induced_homomorphism(phi)
+        except NotInverseNilPreserving as exc:
+            if inp or (type(exc), str(exc)) != _REFUSAL:
+                return phi, "induced hom"
+        else:
+            if not inp:
+                return phi, "induced hom"
+            expected = {
+                b: table[1 << b] & nonnull_src
+                for b, w in enumerate(phi.target.weights) if not w.is_zero
+            }
+            if hom.atom_masks != expected:
                 return phi, "atom masks"
             for elem in hom.domain.all_elements():
-                if hom.apply(elem).mask != reference_apply(hom, elem).mask:
+                if hom.apply(elem).mask != table[elem.mask] & nonnull_src:
                     return phi, "apply"
-        elif hom != ref:
-            return phi, "induced hom"
-        for mask in range(1 << phi.target.n_atoms):
-            if malg.maps._pullback(phi, mask) != reference_pullback(phi, mask):
+        for mask, pre in enumerate(table):
+            if malg.maps._pullback(phi, mask) != pre:
                 return phi, "pullback"
     return None
 

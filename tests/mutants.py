@@ -64,7 +64,7 @@ from malg import (
 )
 from malg.formats import dumps_canonical, map_to_obj
 
-from helpers import drop_lowest_image_atom, mutated, reference_disagreement
+from helpers import drop_lowest_image_atom, mutated, point_disagreement
 from test_small_scope import build_map, canonical_forms
 
 
@@ -273,9 +273,9 @@ def _functor_check():
 
 
 def _reference():
-    """What first differs between the functor-law path and the reference
-    on the 400 seed-0 random maps, whose spaces it builds again."""
-    found = reference_disagreement(phi for phi, _ in _null_law_maps()[-1200:-800])
+    """What first differs between the functor-law path and point preimages
+    on the 400 seed-0 random maps, whose spaces and maps it builds again."""
+    found = point_disagreement(phi for phi, _ in _null_law_maps()[-1200:-800])
     yield None if found is None else found[1]
 
 
@@ -439,12 +439,22 @@ MUTANTS = {
     "identity-atom-shifted": Mutant(
         malg.metric, "identity_law_violations", "1 << b", "2 << b", FUNCTOR
     ),
-    # The functor-law path's one-pass builders: induced_homomorphism's mask
-    # loop and INP guard, the loop of FiniteMeasureSpace.__init__ that sorts
-    # the atoms into the classes every algebra copies (nonnull_atoms,
-    # fin_atoms, _top and _fin), and BooleanHom.__init__'s check of each
-    # mask. Seen by BAD_ATOM_MASKS, functor-check, the reference on the 400
-    # seed-0 random maps and theorem-check.
+    # The functor-law path's one-pass builders: make_map's preimage blocks,
+    # induced_homomorphism's mask loop and INP guard, the loop of
+    # FiniteMeasureSpace.__init__ that sorts the atoms into the classes
+    # every algebra copies (nonnull_atoms, fin_atoms, _top and _fin), and
+    # BooleanHom.__init__'s check of each mask. Seen by BAD_ATOM_MASKS,
+    # functor-check, the point preimages of the 400 seed-0 random maps and
+    # theorem-check.
+    # every block of the worked example has at most two atoms, and the
+    # three routes read the same blocks, so theorem-check still exits 0
+    "make-map-block-cut-to-two": Mutant(
+        malg.maps,
+        "make_map",
+        "preimages[b].append(a)",
+        "preimages[b].append(a) if len(preimages[b]) < 2 else None",
+        HOM,
+    ),
     "induced-top-dropped": Mutant(
         malg.maps, "induced_homomorphism", "mask & top", "mask", HOM
     ),

@@ -39,14 +39,13 @@ from malg.maps import _joins_certified
 
 from helpers import (
     drop_lowest_image_atom,
-    enumerated_null_ideal_preserved,
-    enumerated_well_definedness,
     oracle_compression,
     oracle_pushforward_masses,
     pair_scan_hom_laws,
+    point_disagreement,
+    point_null_laws,
     python_child_output,
     reference_bruteforce,
-    reference_disagreement,
 )
 from mutants import (
     NULL,
@@ -168,25 +167,25 @@ def test_well_definedness_witness_values(psi, s1, s2):
 
 
 def test_functor_path_matches_reference():
-    # each object on the functor-law path, built in one pass, against the
-    # path as it was before: algebra fields, identity maps, induced homs,
-    # apply on every domain element and _pullback on every target mask
+    # each object on the functor-law path against point preimages: atom
+    # classes, algebra fields, identity maps, make_map's preimage blocks,
+    # induced homs, apply on every domain element and _pullback on every
+    # target mask
     maps = [phi for phi, _ in _null_law_maps()]
     assert len(maps) == 23_100
-    assert reference_disagreement(maps) is None
+    assert point_disagreement(maps) is None
 
 
 def test_null_laws_match_enumerations():
+    # both one-pullback laws against their definitions over point preimages
     maps = _null_law_maps()
     assert len(maps) == 23_100
     assert sum(not inp for _, inp in maps) == 6_924  # 550 of them random instances
     for phi, inp in maps:
         assert (
-            null_ideal_preserved(phi)
-            == enumerated_null_ideal_preserved(phi)
-            == check_well_definedness(phi)
-            == enumerated_well_definedness(phi)
-            == inp
+            (null_ideal_preserved(phi), check_well_definedness(phi))
+            == point_null_laws(phi)
+            == (inp, inp)
         ), phi
 
 

@@ -9,12 +9,17 @@ from pathlib import Path
 import malg
 
 SOURCES = sorted(Path(malg.__file__).parent.glob("*.py"))
+TESTS = Path(__file__).parent
+
+
+def _parsed(path):
+    return ast.parse(path.read_text(), filename=str(path))
 
 
 def _trees():
     assert SOURCES
     for path in SOURCES:
-        yield path.name, ast.parse(path.read_text(), filename=str(path))
+        yield path.name, _parsed(path)
 
 
 def test_imports_are_stdlib_only():
@@ -104,9 +109,8 @@ def _called_names(body):
     return names
 
 
-def _maps_functions(names):
-    """The top-level functions of maps.py with these names, by name."""
-    tree = dict(_trees())["maps.py"]
+def _functions(tree, names):
+    """The top-level functions of the module with these names, by name."""
     bodies = {
         node.name: node
         for node in tree.body
@@ -114,6 +118,10 @@ def _maps_functions(names):
     }
     assert set(bodies) == set(names)
     return bodies
+
+
+def _maps_functions(names):
+    return _functions(dict(_trees())["maps.py"], names)
 
 
 def _assert_none_calls_another(names):
@@ -140,6 +148,23 @@ def test_constant_routes_are_independent():
     assert not shared, f"maps.py lipschitz_bruteforce calls {sorted(shared)}"
 
 
+def test_point_oracle_reads_no_library_preimage():
+    # the functions of tests/helpers.py that compute the expected preimages,
+    # null laws and masses read point_fn, the point blocks and the weights
+    # only, so a fault in make_map's blocks or on the functor-law path
+    # cannot reach the expected side as well
+    oracle = {"point_preimages", "point_null_laws", "oracle_pushforward_masses"}
+    library = {
+        "_pullback", "induced_homomorphism", "apply", "pushforward", "make_map", "_mask",
+    }
+    for name, body in _functions(_parsed(TESTS / "helpers.py"), oracle).items():
+        read = {node.attr for node in ast.walk(body) if isinstance(node, ast.Attribute)}
+        shared = read & {"atom_preimages", "_atom_of"}
+        assert not shared, f"helpers.py {name} reads {sorted(shared)}"
+        called = _called_names(body) & library
+        assert not called, f"helpers.py {name} calls {sorted(called)}"
+
+
 def _quoted_annotations(tree):
     """Each annotation written as a string, such as "AlgebraElement", parsed."""
     for node in ast.walk(tree):
@@ -150,9 +175,10 @@ def _quoted_annotations(tree):
 
 
 def test_no_unused_imports():
-    # every imported name is read somewhere in its module; __init__.py
-    # reads its imports through __all__
-    for name, tree in _trees():
+    # every imported name is read somewhere in its module, in malg and in
+    # the tests; __init__.py reads its imports through __all__
+    tests = [(f"tests/{path.name}", _parsed(path)) for path in sorted(TESTS.glob("*.py"))]
+    for name, tree in [*_trees(), *tests]:
         imported = {}
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
@@ -254,11 +280,11 @@ def test_one_copy_of_the_mask_value_code():
 def test_mutants_are_planted_by_the_registry_only():
     # one registry and one kill oracle: a new mutant joins tests/mutants.py
     # instead of starting a table of its own; test_helpers tests mutated
-    root = Path(__file__).parent.parent
+    root = TESTS.parent
     for path in sorted([*root.glob("tests/**/*.py"), *root.glob("bench/**/*.py")]):
         if path.name in ("mutants.py", "test_helpers.py"):
             continue
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        for node in ast.walk(_parsed(path)):
             if isinstance(node, ast.Call):
                 func = node.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
