@@ -255,6 +255,9 @@ def render(report: dict, fmt: str) -> str:
         return dumps_canonical(report)
     lines = [f"command: {report['command']}", f"exit_code: {report['exit_code']}"]
     for path, digest in report["inputs"].items():
+        # a path from bytes that are not UTF-8 holds lone surrogates: escape
+        # them, as the json report does, so the report encodes as UTF-8
+        path = path.encode("utf-8", "backslashreplace").decode("utf-8")
         lines.append(f"input: {path} sha256={digest}")
     violations = report["violations"]
     if violations:
@@ -340,7 +343,7 @@ def main(argv=None) -> int:
     text = render(report, args.format)
     if args.output:
         try:
-            Path(args.output).write_text(text)
+            Path(args.output).write_text(text, encoding="utf-8")
         except (OSError, ValueError) as exc:  # ValueError: a path with a NUL byte
             print(f"malg: error: cannot write --output {args.output!r}: {exc}",
                   file=sys.stderr)

@@ -90,6 +90,8 @@ class FiniteMeasureSpace:
         pts = tuple(points)
         seen: set[str] = set()
         for p in pts:
+            if type(p) is not str:  # a document holds string labels only
+                raise TypeError(f"point label {p!r} is not a str")
             if p in seen:
                 raise DuplicatePoint(f"point {p!r} listed twice")
             seen.add(p)
@@ -269,7 +271,7 @@ def make_space(points: Sequence[str], partition, weights) -> FiniteMeasureSpace:
     """Validate and build a space; atoms come out in canonical order.
 
     Weights may be ints, Fractions, ExtRationals, or strings ("p/q", "inf");
-    a float raises TypeError.
+    a float raises TypeError, and so does a point label that is not a str.
 
     Raises DuplicatePoint, PartitionGap, PartitionOverlap, UnknownPoint,
     NegativeWeight, or ArityMismatch on malformed input.

@@ -6,14 +6,17 @@ the two spaces' point blocks alone, never off `atom_preimages`, and a
 source rule keeps it so. Over that table, `point_null_laws` decides the
 two null-ideal laws from their definitions, the reference for the
 library's one-pullback laws; `oracle_pushforward_masses` measures each
-target atom's point preimage; and `point_disagreement` names the first
-map on which the library's functor-law path (a space's atom classes,
-`MeasureAlgebra`'s fields, `identity_map`, `make_map`'s preimage blocks,
+target atom's point preimage; `point_images` gives the induced hom's atom
+masks; and `point_disagreement` names the first map on which the
+library's functor-law path (a space's atom classes, `MeasureAlgebra`'s
+fields, `identity_map`, `make_map`'s preimage blocks,
 `induced_homomorphism`, `BooleanHom.apply` and `_pullback`) differs from
-the point preimages. The compression oracle scans every measurable target
-set against the defining inequality, and the scaled mass tables are
-re-derived from atom weights and cross-checked against the public rho
-before any law uses them.
+the point preimages. `definition_pair_oracle`, the reference for the
+library's pair oracle, reads the two spaces' weights and a table of atom
+images alone, from `point_images` or a planted faulty hom. The
+compression oracle scans every measurable target set against the
+defining inequality, and the scaled mass tables are re-derived from atom
+weights and cross-checked against the public rho before any law uses them.
 `drop_lowest_image_atom` is a planted hom fault shared by the maps,
 metric and mutant tests. `mutated` plants a fault by recompiling one
 function with one snippet of its source replaced; only the one mutant
@@ -22,11 +25,9 @@ registry, `tests/mutants.py`, calls it, and a source rule keeps it so.
 `fraction_metric_check` is the metric axiom check in `Fraction`
 arithmetic, the reference for the library's integer check;
 `general_parse_rational` is the rational-string parser without a short
-path, the reference for the library's parser;
-`pair_scan_hom_laws` is the hom-law check over every ordered pair of
-domain elements, the reference for the library's join certificate and
-complement pass; `reference_bruteforce` is the pair oracle on positions
-in `fin_atoms`, the reference for the library's oracle on atom masks.
+path, the reference for the library's parser; and `pair_scan_hom_laws`
+is the hom-law check over every ordered pair of domain elements, the
+reference for the library's join certificate and complement pass.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
-from itertools import product
+from functools import cache, reduce
+from itertools import chain, combinations, product
 from math import isqrt, lcm
 from operator import and_, or_
 from pathlib import Path
@@ -53,7 +55,6 @@ from malg import (
     UNBOUNDED,
     BooleanHom,
     BruteForceReport,
-    BudgetExceeded,
     CompressionResult,
     ExtRational,
     InvalidRational,
@@ -63,8 +64,6 @@ from malg import (
     MeasureAlgebra,
     MetricAxiomViolation,
     NotInverseNilPreserving,
-    build_algebra,
-    is_inverse_nil_preserving,
     rho,
 )
 from malg.rationals import INF_TOKEN, MAX_DIGITS
@@ -284,108 +283,63 @@ def pair_scan_hom_laws(hom: BooleanHom) -> LawReport:
     ))
 
 
-def reference_bruteforce(phi: MeasurableMap, budget: int = 12) -> BruteForceReport:
-    """lipschitz_bruteforce as it was before it enumerated atom masks:
-    elements are masks over positions in `fin_atoms`, two tables filled by
-    one recurrence each, and a memo that walks a chain of submasks. The
-    hom is read through malg.maps, so a planted hom fault reaches it.
+def point_images(phi: MeasurableMap) -> Optional[dict[int, int]]:
+    """Each non-null target atom's point preimage without the null source
+    atoms: the induced hom's atom masks by definition, or None when phi
+    breaks the null-ideal law and has no hom."""
+    if not point_null_laws(phi)[0]:
+        return None
+    table = point_preimages(phi)
+    nonnull_src = sum(1 << a for a, w in enumerate(phi.source.weights) if not w.is_zero)
+    return {
+        b: table[1 << b] & nonnull_src
+        for b, w in enumerate(phi.target.weights) if not w.is_zero
+    }
 
-    Maximize rho1(hom a, hom b) / rho2(a, b) over all pairs a != b.
-    Enumerates the full finite-measure ideal of the target algebra, so the
-    number of non-null target atoms must not exceed `budget` (default 12);
-    raises BudgetExceeded above that. A budget that is not exactly an int
-    (a bool included) raises TypeError.
-    """
-    if type(budget) is not int:
-        raise TypeError(f"budget must be an int, not {budget!r}")
-    domain = build_algebra(phi.target)
-    n_nonnull = len(domain.nonnull_atoms)
-    if n_nonnull > budget:
-        raise BudgetExceeded(
-            f"{n_nonnull} non-null target atoms exceed the budget of {budget}"
-        )
-    if not is_inverse_nil_preserving(phi):
-        return BruteForceReport(UNBOUNDED, None, None)
-    hom = malg.maps.induced_homomorphism(phi)
 
-    # target elements are masks over positions in `fin`; their images are
-    # source atom masks
-    fin = domain.fin_atoms
-    nf = len(fin)
-    action_masks = [hom.atom_masks[b] for b in fin]
-    src_weights = phi.source.weights
+def oracle_outputs(report: BruteForceReport) -> tuple:
+    """A pair-oracle report's outputs as definition_pair_oracle gives them."""
+    witness = report.witness
+    masks = None if witness is None else tuple(elem.mask for elem in witness)
+    return report.result, masks, report.attained_at_empty
 
-    # image under the hom, per finite-ideal mask
-    images = [0] * (1 << nf)
-    for mask in range(1, 1 << nf):
-        low = (mask & -mask).bit_length() - 1
-        images[mask] = images[mask & (mask - 1)] | action_masks[low]
 
-    infinite_src = phi.source._nonnull_mask ^ phi.source._fin_mask
-    if images[-1] & infinite_src:
-        return BruteForceReport(UNBOUNDED, None, None)  # fin ideal broken
-
-    # target-side masses over the finite ideal
-    mu2 = [Fraction(0)] * (1 << nf)
-    fin_weights = [phi.target.weights[b].as_fraction() for b in fin]
-    for mask in range(1, 1 << nf):
-        low = (mask & -mask).bit_length() - 1
-        mu2[mask] = mu2[mask & (mask - 1)] + fin_weights[low]
-
-    mu1_cache: dict[int, Fraction] = {0: Fraction(0)}
-
-    def mu1(mask: int) -> Fraction:
-        got = mu1_cache.get(mask)
-        if got is not None:
-            return got
-        # strip low bits down to a cached submask, then add them back in
-        # turn; a loop, so a mask of thousands of bits stays in one frame
-        chain = []
-        while got is None:
-            chain.append(mask)
-            mask &= mask - 1
-            got = mu1_cache.get(mask)
-        for mask in reversed(chain):
-            low = (mask & -mask).bit_length() - 1
-            got += src_weights[low].as_fraction()
-            mu1_cache[mask] = got
-        return got
-
-    def mask_key(mask: int) -> tuple[int, ...]:
-        return tuple(fin[i] for i in range(nf) if mask >> i & 1)
-
-    order = sorted(range(1 << nf), key=mask_key)
-    if len(order) < 2:
-        return BruteForceReport(CompressionResult.bounded(0), None, None)
-
-    best: Optional[Fraction] = None
-    best_pair: Optional[tuple[int, int]] = None
-    for a in order:
-        img_a = images[a]
-        for b in order:
-            if a == b:
-                continue
-            ratio = mu1(img_a ^ images[b]) / mu2[a ^ b]
-            if best is None or ratio > best:
-                best = ratio
-                best_pair = (a, b)
-
-    empty_pair: Optional[tuple[int, int]] = None
-    for a in order:
-        if a == 0:
-            continue
-        if mu1(images[a]) / mu2[a] == best:
-            empty_pair = (a, 0)
-            break
-
-    pair = empty_pair if empty_pair is not None else best_pair
-    witness = (
-        domain.element(mask_key(pair[0])),
-        domain.element(mask_key(pair[1])),
+def definition_pair_oracle(phi: MeasurableMap, images: Optional[dict]) -> tuple:
+    """(value, witness masks, attained_at_empty) of the pair oracle by its
+    definition: the largest rho1(hom a, hom b) / rho2(a, b) over ordered
+    pairs a != b of finite target elements, as sorted atom-id tuples, where
+    hom sends non-null target atom b to source-atom mask images[b] (None:
+    no hom). Unbounded when the finite atoms' image meets an infinite
+    source atom; the witness is the first (a, empty) that attains the
+    value, else the first pair that does."""
+    if images is None:
+        return UNBOUNDED, None, None
+    src, tgt = phi.source.weights, phi.target.weights
+    fin = [b for b, w in enumerate(tgt) if not (w.is_zero or w.is_infinite)]
+    elements = sorted(
+        chain.from_iterable(combinations(fin, k) for k in range(len(fin) + 1))
     )
-    return BruteForceReport(
-        CompressionResult.bounded(best), witness, empty_pair is not None
-    )
+    mask = {e: sum(1 << b for b in e) for e in elements}
+    image = {e: reduce(or_, (images[b] for b in e), 0) for e in elements}
+    if any(image[tuple(fin)] >> a & 1 for a, w in enumerate(src) if w.is_infinite):
+        return UNBOUNDED, None, None
+    if len(elements) < 2:
+        return CompressionResult.bounded(0), None, None
+
+    def mass(weights, atoms: int) -> Fraction:
+        picked = (w for i, w in enumerate(weights) if atoms >> i & 1)
+        return sum((w.as_fraction() for w in picked), Fraction(0))
+
+    @cache  # many pairs share their two symmetric differences
+    def ratio(src_atoms: int, tgt_atoms: int) -> Fraction:
+        return mass(src, src_atoms) / mass(tgt, tgt_atoms)
+
+    pairs = [(a, b) for a in elements for b in elements if a != b]
+    ratios = [ratio(image[a] ^ image[b], mask[a] ^ mask[b]) for a, b in pairs]
+    best = max(ratios)
+    at_empty = [(a, b) for (a, b), r in zip(pairs, ratios) if not b and r == best]
+    a, b = at_empty[0] if at_empty else pairs[ratios.index(best)]
+    return CompressionResult.bounded(best), (mask[a], mask[b]), bool(at_empty)
 
 
 # how induced_homomorphism refuses a map that is not inverse-nil-preserving
@@ -447,19 +401,15 @@ def point_disagreement(maps) -> Optional[tuple]:
         nonnull_src = sum(
             1 << a for a, w in enumerate(phi.source.weights) if not w.is_zero
         )
-        inp = point_null_laws(phi)[0]
+        expected = point_images(phi)
         try:
             hom = malg.maps.induced_homomorphism(phi)
         except NotInverseNilPreserving as exc:
-            if inp or (type(exc), str(exc)) != _REFUSAL:
+            if expected is not None or (type(exc), str(exc)) != _REFUSAL:
                 return phi, "induced hom"
         else:
-            if not inp:
+            if expected is None:
                 return phi, "induced hom"
-            expected = {
-                b: table[1 << b] & nonnull_src
-                for b, w in enumerate(phi.target.weights) if not w.is_zero
-            }
             if hom.atom_masks != expected:
                 return phi, "atom masks"
             for elem in hom.domain.all_elements():

@@ -508,6 +508,19 @@ def test_text_format(capsys, phi_file):
     assert "violations: none" in out
 
 
+def test_text_report_escapes_undecodable_input_path(monkeypatch, s1, tmp_path):
+    # a file name of bytes that are not UTF-8 shows in the text report
+    # escaped, as in the json report, on stdout and in --output alike
+    path = tmp_path / os.fsdecode(b"\xff.json")
+    path.write_text(dumps_canonical(space_to_obj(s1)))
+    monkeypatch.setenv("PYTHONIOENCODING", "utf-8")
+    argv = ["-m", "malg", "validate", str(path), "--format", "text"]
+    out = python_child_output(argv)
+    python_child_output([*argv, "--output", str(tmp_path / "out.txt")])
+    assert out == (tmp_path / "out.txt").read_bytes()
+    assert f"input: {tmp_path}/\\udcff.json sha256=".encode() in out
+
+
 def test_module_entry_point(phi_file):
     report = json.loads(python_child_output(["-m", "malg", "classify", phi_file]))
     assert report["results"]["classification"]["compression"] == "5/6"

@@ -38,14 +38,16 @@ from malg import (
 from malg.maps import _joins_certified
 
 from helpers import (
+    definition_pair_oracle,
     drop_lowest_image_atom,
     oracle_compression,
+    oracle_outputs,
     oracle_pushforward_masses,
     pair_scan_hom_laws,
     point_disagreement,
+    point_images,
     point_null_laws,
     python_child_output,
-    reference_bruteforce,
 )
 from mutants import (
     NULL,
@@ -441,35 +443,30 @@ def test_three_routes_agree_on_random_instances():
             assert brute.attained_at_empty is True
 
 
-def _oracle_outputs(phi, oracle) -> tuple:
-    """The oracle's value, witness masks and attained_at_empty on phi."""
-    report = oracle(phi)
-    witness = report.witness
-    masks = None if witness is None else tuple(elem.mask for elem in witness)
-    return report.result, masks, report.attained_at_empty
-
-
 def test_bruteforce_matches_reference(monkeypatch):
-    # the oracle on atom masks against the oracle on positions in fin_atoms,
-    # both read through malg.maps: on every small-scope form, on 100 random
-    # instances, and on those under a planted fault of the induced hom
-    maps = _null_law_maps()
-    forms = [phi for phi, _ in maps[:21_900]]
-    randoms = [phi for phi, _ in maps[-1200:-1100]]  # seed 0
+    # the oracle against its definition on 100 random instances: on the
+    # point preimages, and under a planted fault of the induced hom on the
+    # faulty hom's atom masks; test_every_small_map checks every small form
+    randoms = [phi for phi, _ in _null_law_maps()[-1200:-1100]]  # seed 0
 
-    def outputs(maps) -> list:
-        library = [_oracle_outputs(phi, malg.maps.lipschitz_bruteforce) for phi in maps]
-        assert library == [_oracle_outputs(phi, reference_bruteforce) for phi in maps]
-        return library
+    def outputs() -> list:
+        return [oracle_outputs(malg.maps.lipschitz_bruteforce(phi)) for phi in randoms]
 
-    outputs(forms)
-    clean = outputs(randoms)
-    monkeypatch.setattr(
-        malg.maps,
-        "induced_homomorphism",
-        lambda phi: drop_lowest_image_atom(induced_homomorphism(phi)),
-    )
-    assert outputs(randoms) != clean  # the fault reaches both oracles
+    clean = outputs()
+    assert clean == [definition_pair_oracle(phi, point_images(phi)) for phi in randoms]
+
+    def faulty_hom(phi):
+        return drop_lowest_image_atom(induced_homomorphism(phi))
+
+    monkeypatch.setattr(malg.maps, "induced_homomorphism", faulty_hom)
+    faulty = outputs()
+    assert faulty != clean  # the fault reaches the oracle
+    assert faulty == [
+        definition_pair_oracle(
+            phi, faulty_hom(phi).atom_masks if point_null_laws(phi)[0] else None
+        )
+        for phi in randoms
+    ]
 
 
 def test_preimage_symmdiff_identity(phi, psi):

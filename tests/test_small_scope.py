@@ -20,6 +20,8 @@ from malg import (
     rho,
 )
 
+from helpers import definition_pair_oracle, oracle_outputs, point_images
+
 WEIGHTS = (0, Fraction(1, 3), 1, 2, INF)
 
 
@@ -96,6 +98,9 @@ def test_every_small_map():
         comp = compression(phi)
         brute = lipschitz_bruteforce(phi)
         assert comp == lipschitz_fast(phi) == brute.result, form
+        # the oracle's value and witness are those of its definition
+        expected = definition_pair_oracle(phi, point_images(phi))
+        assert oracle_outputs(brute) == expected, form
         if not is_inverse_nil_preserving(phi):
             continue
         hom = induced_homomorphism(phi)

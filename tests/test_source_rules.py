@@ -150,12 +150,18 @@ def test_constant_routes_are_independent():
 
 def test_point_oracle_reads_no_library_preimage():
     # the functions of tests/helpers.py that compute the expected preimages,
-    # null laws and masses read point_fn, the point blocks and the weights
-    # only, so a fault in make_map's blocks or on the functor-law path
-    # cannot reach the expected side as well
-    oracle = {"point_preimages", "point_null_laws", "oracle_pushforward_masses"}
+    # null laws, masses, hom images and pair oracle read point_fn, the point
+    # blocks and the weights only, so a fault in make_map's blocks, on the
+    # functor-law path or in lipschitz_bruteforce's enumeration cannot reach
+    # the expected side as well
+    oracle = {
+        "point_preimages", "point_null_laws", "oracle_pushforward_masses",
+        "point_images", "definition_pair_oracle",
+    }
     library = {
         "_pullback", "induced_homomorphism", "apply", "pushforward", "make_map", "_mask",
+        "lipschitz_bruteforce", "_submasks", "_ids", "mu_bar", "rho", "fin_elements",
+        "all_elements",
     }
     for name, body in _functions(_parsed(TESTS / "helpers.py"), oracle).items():
         read = {node.attr for node in ast.walk(body) if isinstance(node, ast.Attribute)}

@@ -74,6 +74,14 @@ def test_construction_errors():
         make_space(["p"], [["p"]], ["abc"])
 
 
+@pytest.mark.parametrize("labels", [[1, 2], [0.5, 1.5], [("a",), ("b",)]])
+def test_point_labels_must_be_strings(labels):
+    # a document holds string labels only, so a space that space_to_obj
+    # writes must be one that obj_to_space reads back
+    with pytest.raises(TypeError, match="is not a str"):
+        make_space(labels, [labels], [1])
+
+
 def test_empty_space_is_valid():
     sp = make_space([], [], [])
     assert sp.n_atoms == 0
