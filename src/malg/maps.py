@@ -44,22 +44,43 @@ from .spaces import FiniteMeasureSpace, _ids, _submasks, _weighted_sum
 class MeasurableMap:
     """A point function whose atom preimages are unions of source atoms.
 
-    `atom_preimages[b]` lists (sorted) the source atoms mapped into target
-    atom b; the blocks are disjoint and jointly cover every source atom.
-    Build with :func:`make_map`, which verifies measurability. The map
-    keeps the `point_fn` dict it is given; each builder passes a fresh one.
+    The constructor is the one way in and checks the function: UnknownPoint
+    if it is not total on the source points or hits labels outside the
+    target, NotMeasurable if a target atom's preimage splits a source atom;
+    every label is checked before any atom. Each target atom's preimage is
+    kept as a mask of source atoms, and `point_fn` as a copy.
     """
 
-    __slots__ = ("source", "target", "point_fn", "atom_preimages")
+    __slots__ = ("source", "target", "point_fn", "_preimage_masks")
 
     point_fn: dict[str, str]
-    atom_preimages: tuple[tuple[int, ...], ...]
+    _preimage_masks: tuple[int, ...]
 
-    def __init__(self, source, target, point_fn, atom_preimages):
+    def __init__(self, source, target, point_fn):
+        fn = dict(point_fn)
+        atom_of = target._atom_of
+        masks = [0] * target.n_atoms
+        # one pass over the atoms; _refuse names the first fault, if any
+        try:
+            for a, block in enumerate(source.atoms):
+                b = atom_of[fn[block[0]]]
+                for p in block:
+                    if atom_of[fn[p]] != b:
+                        _refuse(source, target, fn)
+                masks[b] |= 1 << a
+        except (KeyError, TypeError):
+            _refuse(source, target, fn)
+        if len(fn) != len(source.points):
+            _refuse(source, target, fn)
         self.source = source
         self.target = target
-        self.point_fn = point_fn
-        self.atom_preimages = atom_preimages
+        self.point_fn = fn
+        self._preimage_masks = tuple(masks)
+
+    @property
+    def atom_preimages(self) -> tuple[tuple[int, ...], ...]:
+        """The source atoms mapped into each target atom, ascending."""
+        return tuple(map(_ids, self._preimage_masks))
 
     def __call__(self, point: str) -> str:
         try:
@@ -83,18 +104,8 @@ class MeasurableMap:
         )
 
 
-def make_map(
-    source: FiniteMeasureSpace,
-    target: FiniteMeasureSpace,
-    point_fn: Mapping[str, str],
-) -> MeasurableMap:
-    """Build a measurable map from a total point function.
-
-    Raises UnknownPoint if the function is not total on the source points
-    or hits labels outside the target, NotMeasurable if some target atom's
-    preimage splits a source atom; every label is checked before any atom.
-    """
-    fn = dict(point_fn)
+def _refuse(source, target, fn: dict) -> None:
+    """Raise the first fault of fn: missing, extra, unknown labels, split atoms."""
     src_points = source._atom_of.keys()
     missing = src_points - fn.keys()
     if missing:
@@ -102,33 +113,28 @@ def make_map(
     extra = fn.keys() - src_points
     if extra:
         raise UnknownPoint(f"not source points: {sorted(extra)}")
-    atom_of = target._atom_of
-    if set(fn.values()) - atom_of.keys():
+    if set(fn.values()) - target._atom_of.keys():
         for q in fn.values():
             target.atom_of(q)  # names the first bad label in fn's order
+    for block in source.atoms:
+        hit = sorted({target._atom_of[fn[x]] for x in block})
+        if len(hit) > 1:
+            names = [target.atoms[c] for c in hit]
+            raise NotMeasurable(f"source atom {block} splits across target atoms {names}")
 
-    # one pass: each block's first point names its target atom, and every
-    # point of the block must land there too
-    preimages = [[] for _ in range(target.n_atoms)]
-    for a, block in enumerate(source.atoms):
-        b = atom_of[fn[block[0]]]
-        for p in block:
-            if atom_of[fn[p]] != b:
-                hit = sorted({atom_of[fn[x]] for x in block})
-                names = [target.atoms[c] for c in hit]
-                raise NotMeasurable(
-                    f"source atom {block} splits across target atoms {names}"
-                )
-        preimages[b].append(a)
-    return MeasurableMap(source, target, fn, tuple(map(tuple, preimages)))
+
+def make_map(
+    source: FiniteMeasureSpace,
+    target: FiniteMeasureSpace,
+    point_fn: Mapping[str, str],
+) -> MeasurableMap:
+    """Build a measurable map from a total point function; see MeasurableMap."""
+    return MeasurableMap(source, target, point_fn)
 
 
 def identity_map(space: FiniteMeasureSpace) -> MeasurableMap:
-    """The identity on `space`; each atom is its own preimage, so the map
-    is measurable by construction and skips make_map's checks."""
-    points = space.points
-    preimages = tuple(zip(range(space.n_atoms)))  # ((0,), (1,), ...)
-    return MeasurableMap(space, space, dict(zip(points, points)), preimages)
+    """The identity on `space`, checked like every other map."""
+    return MeasurableMap(space, space, dict(zip(space.points, space.points)))
 
 
 def compose(g: MeasurableMap, f: MeasurableMap) -> MeasurableMap:
@@ -158,13 +164,9 @@ class PushforwardMeasure:
 
 
 def pushforward(phi: MeasurableMap) -> PushforwardMeasure:
-    masses = []
-    for block in phi.atom_preimages:
-        m = ExtRational(0)
-        for a in block:
-            m = m + phi.source.weights[a]
-        masses.append(m)
-    return PushforwardMeasure(phi.target, tuple(masses))
+    weights = phi.source.weights
+    masses = tuple(_weighted_sum(weights, pre) for pre in phi._preimage_masks)
+    return PushforwardMeasure(phi.target, masses)
 
 
 def is_inverse_nil_preserving(phi: MeasurableMap) -> bool:
@@ -173,21 +175,21 @@ def is_inverse_nil_preserving(phi: MeasurableMap) -> bool:
     Checked on the preimage side: every source atom mapped into a null
     target atom must itself be null.
     """
+    weights, masks = phi.source.weights, phi._preimage_masks
     for b in phi.target.null_atom_ids:
-        for a in phi.atom_preimages[b]:
-            if not phi.source.weights[a].is_zero:
+        for a in _ids(masks[b]):
+            if not weights[a].is_zero:
                 return False
     return True
 
 
 def _pullback(phi: MeasurableMap, target_mask: int) -> int:
     """Mask of the source atoms mapped into the target atoms of the mask."""
-    blocks = phi.atom_preimages
+    masks = phi._preimage_masks
     pre = 0
     while target_mask:
         low = target_mask & -target_mask
-        for a in blocks[low.bit_length() - 1]:
-            pre |= 1 << a
+        pre |= masks[low.bit_length() - 1]
         target_mask ^= low
     return pre
 
@@ -291,14 +293,8 @@ def induced_homomorphism(phi: MeasurableMap) -> BooleanHom:
         )
     domain = build_algebra(phi.target)
     codomain = build_algebra(phi.source)
-    pre, top = phi.atom_preimages, codomain._top
-    atom_masks = {}
-    for b in domain.nonnull_atoms:
-        mask = 0
-        for a in pre[b]:
-            mask |= 1 << a
-        atom_masks[b] = mask & top
-    return BooleanHom(domain, codomain, atom_masks)
+    pre, top = phi._preimage_masks, codomain._top
+    return BooleanHom(domain, codomain, {b: pre[b] & top for b in domain.nonnull_atoms})
 
 
 @dataclass(frozen=True)
@@ -307,13 +303,17 @@ class CompressionResult:
 
     value: Optional[Fraction]  # None encodes Unbounded
 
+    def __post_init__(self):
+        value = self.value
+        if value is not None and not isinstance(value, Fraction):
+            raise TypeError(f"a compression constant is a Fraction or None, not {value!r}")
+        if value is not None and value < 0:
+            raise ValueError(f"a compression constant is never negative, got {value}")
+
     @classmethod
     def bounded(cls, value) -> "CompressionResult":
         """A finite constant; a negative value raises ValueError."""
-        frac = to_fraction(value)
-        if frac < 0:
-            raise ValueError(f"a compression constant is never negative, got {frac}")
-        return cls(frac)
+        return cls(to_fraction(value))
 
     @property
     def is_bounded(self) -> bool:

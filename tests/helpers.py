@@ -2,14 +2,14 @@
 
 These deliberately avoid the code paths they are used to verify.
 `point_preimages` reads each map's preimages off its point function and
-the two spaces' point blocks alone, never off `atom_preimages`, and a
-source rule keeps it so. Over that table, `point_null_laws` decides the
+the two spaces' point blocks alone, never off the map's preimage masks or
+their `atom_preimages` view, and a source rule keeps it so. Over that table, `point_null_laws` decides the
 two null-ideal laws from their definitions, the reference for the
 library's one-pullback laws; `oracle_pushforward_masses` measures each
 target atom's point preimage; `point_images` gives the induced hom's atom
 masks; and `point_disagreement` names the first map on which the
 library's functor-law path (a space's atom classes, `MeasureAlgebra`'s
-fields, `identity_map`, `make_map`'s preimage blocks,
+fields, `identity_map`, the preimages `MeasurableMap` derives,
 `induced_homomorphism`, `BooleanHom.apply` and `_pullback`) differs from
 the point preimages. `definition_pair_oracle`, the reference for the
 library's pair oracle, reads the two spaces' weights and a table of atom

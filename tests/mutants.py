@@ -439,27 +439,27 @@ MUTANTS = {
     "identity-atom-shifted": Mutant(
         malg.metric, "identity_law_violations", "1 << b", "2 << b", FUNCTOR
     ),
-    # The functor-law path's one-pass builders: make_map's preimage blocks,
-    # induced_homomorphism's mask loop and INP guard, the loop of
+    # The functor-law path's one-pass builders: MeasurableMap's preimage
+    # masks, induced_homomorphism's atom masks and INP guard, the loop of
     # FiniteMeasureSpace.__init__ that sorts the atoms into the classes
     # every algebra copies (nonnull_atoms, fin_atoms, _top and _fin), and
     # BooleanHom.__init__'s check of each mask. Seen by BAD_ATOM_MASKS,
     # functor-check, the point preimages of the 400 seed-0 random maps and
     # theorem-check.
-    # every block of the worked example has at most two atoms, and the
-    # three routes read the same blocks, so theorem-check still exits 0
+    # every preimage of the worked example has at most two atoms, and the
+    # three routes read the same masks, so theorem-check still exits 0
     "make-map-block-cut-to-two": Mutant(
-        malg.maps,
-        "make_map",
-        "preimages[b].append(a)",
-        "preimages[b].append(a) if len(preimages[b]) < 2 else None",
+        malg.maps.MeasurableMap,
+        "__init__",
+        "masks[b] |= 1 << a",
+        "masks[b] |= 1 << a if masks[b].bit_count() < 2 else 0",
         HOM,
     ),
     "induced-top-dropped": Mutant(
-        malg.maps, "induced_homomorphism", "mask & top", "mask", HOM
+        malg.maps, "induced_homomorphism", "pre[b] & top", "pre[b]", HOM
     ),
     "induced-meet-as-join": Mutant(
-        malg.maps, "induced_homomorphism", "mask & top", "mask | top", HOM
+        malg.maps, "induced_homomorphism", "pre[b] & top", "pre[b] | top", HOM
     ),
     "induced-inp-guard-negated": Mutant(
         malg.maps,
@@ -469,9 +469,10 @@ MUTANTS = {
         HOM,
     ),
     "induced-join-as-xor": Mutant(
-        malg.maps, "induced_homomorphism", "mask |= 1 << a", "mask ^= 1 << a", HOM,
-        # a preimage block lists each source atom once: ^= sets the same
-        # bits as |=
+        malg.maps.MeasurableMap, "__init__", "masks[b] |= 1 << a", "masks[b] ^= 1 << a",
+        HOM,
+        # the one pass visits each source atom once: ^= sets the same bits
+        # as |=
         "equivalent over distinct atom ids",
     ),
     "space-null-flipped": Mutant(
@@ -574,7 +575,7 @@ MUTANTS = {
     ),
     "pullback-join-as-xor": Mutant(
         malg.maps, "_pullback", "pre |=", "pre ^=", NULL,
-        # the preimage blocks of distinct target atoms are disjoint
+        # the preimage masks of distinct target atoms are disjoint
         "equivalent over disjoint preimage blocks",
     ),
     # check_hom_laws's shortcut, the one test that decides a table lawful,

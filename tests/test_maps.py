@@ -15,6 +15,7 @@ from malg import (
     CompressionResult,
     ExtRational,
     ForeignElement,
+    MeasurableMap,
     NotInverseNilPreserving,
     NotMeasurable,
     UnknownPoint,
@@ -76,8 +77,9 @@ def test_identity_map_diagonal(s2):
 
 
 def test_identity_map_matches_make_map(fixture_spaces):
-    # identity_map skips make_map's checks; on spaces with null, infinite
-    # and multi-point atoms, and on the empty space, it builds the same map
+    # identity_map hands its one dict to the checked constructor; on spaces
+    # with null, infinite and multi-point atoms, and on the empty space, it
+    # builds the same map as make_map
     for space in fixture_spaces:
         ident = identity_map(space)
         built = make_map(space, space, {p: p for p in space.points})
@@ -92,26 +94,44 @@ def test_full_atom_preimage_is_measurable(s2, s1):
 
 def test_split_atom_rejected(s2):
     split_source = make_space(["r1", "r2"], [["r1", "r2"]], [1])
-    with pytest.raises(NotMeasurable):
-        make_map(split_source, s2, {"r1": "q1", "r2": "q2"})
+    for build in (make_map, MeasurableMap):
+        with pytest.raises(NotMeasurable):
+            build(split_source, s2, {"r1": "q1", "r2": "q2"})
 
 
 def test_make_map_unknown_points(s3, s2):
-    with pytest.raises(UnknownPoint):
-        make_map(s3, s2, {"r1": "q1"})  # not total
-    with pytest.raises(UnknownPoint):
-        make_map(s3, s2, {"r1": "q1", "r2": "q1", "zz": "q1"})
-    with pytest.raises(UnknownPoint):
-        make_map(s3, s2, {"r1": "q1", "r2": "nope"})
+    for build in (make_map, MeasurableMap):
+        with pytest.raises(UnknownPoint):
+            build(s3, s2, {"r1": "q1"})  # not total
+        with pytest.raises(UnknownPoint):
+            build(s3, s2, {"r1": "q1", "r2": "q1", "zz": "q1"})
+        with pytest.raises(UnknownPoint):
+            build(s3, s2, {"r1": "q1", "r2": "nope"})
 
 
 def test_make_map_bad_label_wins_over_split_atom(s2):
     # atom {r1, r2} splits across q1 and q2, and r3's image is unknown:
     # every label is checked before any block
     source = make_space(["r1", "r2", "r3"], [["r1", "r2"], ["r3"]], [1, 1])
-    with pytest.raises(UnknownPoint) as exc:
-        make_map(source, s2, {"r1": "q1", "r2": "q2", "r3": "nope"})
-    assert str(exc.value) == "unknown point 'nope'"
+    for build in (make_map, MeasurableMap):
+        with pytest.raises(UnknownPoint) as exc:
+            build(source, s2, {"r1": "q1", "r2": "q2", "r3": "nope"})
+        assert str(exc.value) == "unknown point 'nope'"
+
+
+def test_constructor_derives_preimages_from_points():
+    # preimages can no longer be handed in beside the point function, so
+    # a map that drops atom 1 from x's preimage cannot be built: both atoms
+    # of weight 1 land on x, and all three routes read 2
+    s = make_space(["a", "b"], [["a"], ["b"]], [1, 1])
+    t = make_space(["x", "y"], [["x"], ["y"]], [1, 1])
+    with pytest.raises(TypeError):
+        MeasurableMap(s, t, {"a": "x", "b": "x"}, ((0,), ()))
+    m = MeasurableMap(s, t, {"a": "x", "b": "x"})
+    assert m.atom_preimages == ((0, 1), ())
+    assert m == make_map(s, t, {"a": "x", "b": "x"})
+    two = CompressionResult.bounded(2)
+    assert compression(m) == lipschitz_fast(m) == lipschitz_bruteforce(m).result == two
 
 
 def test_pushforward_examples(phi, s2, s3_to_q1):
@@ -170,7 +190,7 @@ def test_well_definedness_witness_values(psi, s1, s2):
 
 def test_functor_path_matches_reference():
     # each object on the functor-law path against point preimages: atom
-    # classes, algebra fields, identity maps, make_map's preimage blocks,
+    # classes, algebra fields, identity maps, a map's derived preimages,
     # induced homs, apply on every domain element and _pullback on every
     # target mask
     maps = [phi for phi, _ in _null_law_maps()]
@@ -295,6 +315,11 @@ def test_bounded_rejects_negative_values():
         with pytest.raises(ValueError, match="never negative"):
             CompressionResult.bounded(value)
     assert str(CompressionResult.bounded(0)) == "0"
+    # the constructor itself takes a Fraction >= 0 or None only
+    with pytest.raises(TypeError):
+        CompressionResult(0.5)
+    with pytest.raises(ValueError, match="never negative"):
+        CompressionResult(Fraction(-1))
     assert CompressionResult.bounded("1/2").times(CompressionResult.bounded(4)).value == 2
 
 

@@ -151,7 +151,7 @@ def test_constant_routes_are_independent():
 def test_point_oracle_reads_no_library_preimage():
     # the functions of tests/helpers.py that compute the expected preimages,
     # null laws, masses, hom images and pair oracle read point_fn, the point
-    # blocks and the weights only, so a fault in make_map's blocks, on the
+    # blocks and the weights only, so a fault in a map's preimages, on the
     # functor-law path or in lipschitz_bruteforce's enumeration cannot reach
     # the expected side as well
     oracle = {
@@ -165,10 +165,20 @@ def test_point_oracle_reads_no_library_preimage():
     }
     for name, body in _functions(_parsed(TESTS / "helpers.py"), oracle).items():
         read = {node.attr for node in ast.walk(body) if isinstance(node, ast.Attribute)}
-        shared = read & {"atom_preimages", "_atom_of"}
+        shared = read & {"atom_preimages", "_preimage_masks", "_atom_of"}
         assert not shared, f"helpers.py {name} reads {sorted(shared)}"
         called = _called_names(body) & library
         assert not called, f"helpers.py {name} calls {sorted(called)}"
+
+
+def test_library_reads_preimage_masks_only():
+    # a map holds its preimages as atom masks; the atom_preimages tuples
+    # are a view for callers, so no function of the library reads them
+    for name, tree in _trees():
+        for node in ast.walk(tree):
+            assert not (
+                isinstance(node, ast.Attribute) and node.attr == "atom_preimages"
+            ), f"{name}:{node.lineno} reads atom_preimages"
 
 
 def _quoted_annotations(tree):
