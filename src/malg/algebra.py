@@ -19,7 +19,14 @@ from typing import Iterable, Mapping
 from .errors import ForeignElement, ForeignFunction, ForeignSet, NotInFinIdeal
 from .rationals import ExtRational, to_fraction
 from .spaces import (
-    FiniteMeasureSpace, MeasurableSet, _AtomMask, _ids, _mask, _submasks, _weighted_sum
+    FiniteMeasureSpace,
+    MeasurableSet,
+    _AtomMask,
+    _ids,
+    _mask,
+    _require,
+    _submasks,
+    _weighted_sum,
 )
 
 
@@ -32,6 +39,9 @@ class MeasureAlgebra:
     fin_atoms: tuple[int, ...]
 
     def __init__(self, space: FiniteMeasureSpace):
+        # tested inline: build_algebra builds an algebra again once no hom holds it
+        if not isinstance(space, FiniteMeasureSpace):
+            _require(space, FiniteMeasureSpace, "an algebra's space")
         # the space sorted its atoms into these classes when it was built
         self.space = space
         self.nonnull_atoms = space.nonnull_atom_ids
@@ -86,6 +96,8 @@ class AlgebraElement(_AtomMask):
     __slots__ = ()
     __init__ = _AtomMask.__init__  # its own, where the bench tracer patches it
     algebra = _AtomMask._owner
+    _owner_type = MeasureAlgebra
+    _owner_role = "an element's algebra"
     _expected = "expected an AlgebraElement"
     _type_message = "an element's atom mask must be an int, not {mask!r}"
     _range_message = "atom mask {mask:#b} has null or out-of-range atoms"
@@ -114,6 +126,7 @@ class L1Function:
     __slots__ = ("space", "coefficients")
 
     def __init__(self, space: FiniteMeasureSpace, coefficients: Mapping[int, Fraction]):
+        _require(space, FiniteMeasureSpace, "a function's space")
         expected = list(space.nonnull_atom_ids)
         if sorted(coefficients) != expected:
             raise ValueError(

@@ -12,9 +12,11 @@ Three routes compute the same constant and must agree exactly:
 * :func:`lipschitz_fast` takes the max of mu-bar ratios over single target
   atoms under the induced homomorphism, compared as int pairs by
   cross-multiplication;
-* :func:`lipschitz_bruteforce` enumerates every pair of finite-measure
-  algebra elements and maximizes the distance ratio in its own Fraction
-  pair loop.
+* :func:`lipschitz_bruteforce` maximizes the distance ratio over the pairs
+  of finite-measure algebra elements in its own Fraction pair loop. It
+  visits each unordered pair once: both distances are symmetric in the
+  pair, for any table of images, so the two orders of a pair have one
+  ratio.
 
 The three share no ratio code on purpose, so a fault in one route's
 arithmetic leaves it alone against the other two; the third is the oracle.
@@ -22,7 +24,7 @@ arithmetic leaves it alone against the other two; the third is the oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from operator import and_, or_
@@ -38,7 +40,7 @@ from .errors import (
     UnknownPoint,
 )
 from .rationals import ExtRational, to_fraction
-from .spaces import FiniteMeasureSpace, _ids, _submasks, _weighted_sum
+from .spaces import FiniteMeasureSpace, _ids, _require, _submasks, _weighted_sum
 
 
 class MeasurableMap:
@@ -57,6 +59,11 @@ class MeasurableMap:
     _preimage_masks: tuple[int, ...]
 
     def __init__(self, source, target, point_fn):
+        # tested inline: the functor-law checks build maps and homs in loops
+        if not (isinstance(source, FiniteMeasureSpace)
+                and isinstance(target, FiniteMeasureSpace)):
+            _require(source, FiniteMeasureSpace, "a map's source")
+            _require(target, FiniteMeasureSpace, "a map's target")
         fn = dict(point_fn)
         atom_of = target._atom_of
         masks = [0] * target.n_atoms
@@ -146,11 +153,23 @@ def compose(g: MeasurableMap, f: MeasurableMap) -> MeasurableMap:
 
 
 class PushforwardMeasure:
-    """Image measure on the target: per-atom mass pulled through the map."""
+    """Image measure on the target: per-atom mass pulled through the map.
+
+    Takes one ExtRational per target atom: another type raises TypeError,
+    and a count other than the target's atoms raises ValueError.
+    """
 
     __slots__ = ("target", "masses")
 
+    masses: tuple[ExtRational, ...]
+
     def __init__(self, target: FiniteMeasureSpace, masses: tuple[ExtRational, ...]):
+        n_atoms = _require(target, FiniteMeasureSpace, "a pushforward's target").n_atoms
+        masses = tuple(masses)
+        for m in masses:
+            _require(m, ExtRational, "a pushforward mass")
+        if len(masses) != n_atoms:
+            raise ValueError(f"{len(masses)} masses for {n_atoms} target atoms")
         self.target = target
         self.masses = masses
 
@@ -241,6 +260,11 @@ class BooleanHom:
         codomain: MeasureAlgebra,
         atom_masks: Mapping[int, int],
     ):
+        # tested inline, as in MeasurableMap
+        if not (isinstance(domain, MeasureAlgebra)
+                and isinstance(codomain, MeasureAlgebra)):
+            _require(domain, MeasureAlgebra, "a hom's domain")
+            _require(codomain, MeasureAlgebra, "a hom's codomain")
         if sorted(atom_masks) != list(domain.nonnull_atoms):
             raise ValueError("atom_masks must cover exactly the domain atoms")
         outside = ~codomain._top
@@ -403,15 +427,19 @@ def lipschitz_fast(phi: MeasurableMap) -> CompressionResult:
 class BruteForceReport:
     """Outcome of the exhaustive pair enumeration.
 
-    `witness` is the canonically-first attaining pair, preferring pairs
-    whose second component is the zero element; `attained_at_empty` says
-    whether any (a, zero) pair attains the max. Both are None when there
-    is no pair to enumerate or the result is Unbounded.
+    `witness` is the canonically-first attaining ordered pair, preferring
+    pairs whose second component is the zero element; `attained_at_empty`
+    says whether any (a, zero) pair attains the max. Both are None when
+    there is no pair to enumerate or the result is Unbounded. `pairs`
+    counts the unordered pairs whose ratio was computed: 2^n (2^n - 1) / 2
+    for n non-null target atoms of finite weight, and 0 when none was. It
+    takes no part in == and no report renders it.
     """
 
     result: CompressionResult
     witness: Optional[tuple[AlgebraElement, AlgebraElement]]
     attained_at_empty: Optional[bool]
+    pairs: int = field(default=0, compare=False)
 
 
 DEFAULT_BUDGET = 12  # non-null target atoms the oracle enumerates by default
@@ -426,6 +454,15 @@ def lipschitz_bruteforce(
     number of non-null target atoms must not exceed `budget` (DEFAULT_BUDGET);
     raises BudgetExceeded above that. A budget that is not exactly an int
     (a bool included) raises TypeError.
+
+    Each unordered pair is visited once, a before b in canonical order.
+    The max is that over ordered pairs: rho1(hom a, hom b) and rho2(a, b)
+    are symmetric in (a, b) for any table of images, lawful or faulty.
+    The witness is the same too: if the first ordered pair (x, y) to
+    attain the max had y before x, then (y, x) would attain it and come
+    earlier. Zero comes first, so the loop's first row holds the
+    (a, zero) ratios, and the scan for an attaining (a, zero) pair reads
+    them from there.
     """
     if type(budget) is not int:
         raise TypeError(f"budget must be an int, not {budget!r}")
@@ -473,35 +510,43 @@ def lipschitz_bruteforce(
 
     best: Optional[Fraction] = None
     best_pair: Optional[tuple[int, int]] = None
-    for a in order:
+    at_empty: list[Fraction] = []  # the (b, zero) ratios: zero comes first
+    pairs = 0
+    for i, a in enumerate(order):
         img_a = images[a]
-        for b in order:
-            if a == b:
-                continue
-            ratio = mu1(img_a ^ images[b]) / mu2[a ^ b]
+        row = order[i + 1:]
+        ratios = [mu1(img_a ^ images[b]) / mu2[a ^ b] for b in row]
+        pairs += len(ratios)
+        if not i:
+            at_empty = ratios
+        for b, ratio in zip(row, ratios):
             if best is None or ratio > best:
                 best = ratio
                 best_pair = (a, b)
 
     empty_pair: Optional[tuple[int, int]] = None
-    for a in order:
-        if a == 0:
-            continue
-        if mu1(images[a]) / mu2[a] == best:
-            empty_pair = (a, 0)
+    for b, ratio in zip(order[1:], at_empty):
+        if ratio == best:
+            empty_pair = (b, 0)
             break
 
     pair = empty_pair if empty_pair is not None else best_pair
     witness = (AlgebraElement(domain, pair[0]), AlgebraElement(domain, pair[1]))
     return BruteForceReport(
-        CompressionResult.bounded(best), witness, empty_pair is not None
+        CompressionResult.bounded(best), witness, empty_pair is not None, pairs
     )
 
 
 @dataclass(frozen=True)
 class LawViolation:
+    """One broken law, named, with the witness that breaks it."""
+
     law: str
     witness: dict
+
+    def __post_init__(self):
+        _require(self.law, str, "a law's name")
+        _require(self.witness, dict, "a law's witness")
 
 
 @dataclass(frozen=True)

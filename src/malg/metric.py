@@ -37,7 +37,7 @@ from .maps import (
     is_inverse_nil_preserving,
 )
 from .rationals import to_fraction
-from .spaces import FiniteMeasureSpace, _ids, make_space
+from .spaces import FiniteMeasureSpace, _ids, _require, make_space
 
 
 class FiniteMetricMeasureSpace:
@@ -48,7 +48,7 @@ class FiniteMetricMeasureSpace:
     dist: tuple[tuple[Fraction, ...], ...]
 
     def __init__(self, base: FiniteMeasureSpace, dist: Sequence[Sequence]):
-        n = len(base.points)
+        n = len(_require(base, FiniteMeasureSpace, "a metric space's base").points)
         rows = [tuple(map(to_fraction, row)) for row in dist]
         if len(rows) != n or any(len(row) != n for row in rows):
             raise ArityMismatch(f"distance table must be {n}x{n}")

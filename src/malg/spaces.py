@@ -34,6 +34,13 @@ def _coerce_weight(raw, position: int) -> ExtRational:
     return INF if frac is None else ExtRational(frac)
 
 
+def _require(value, kind: type, role: str):
+    """`value` if it is a `kind`; TypeError naming `role` otherwise."""
+    if not isinstance(value, kind):
+        raise TypeError(f"{role} must be a {kind.__name__}, not {value!r}")
+    return value
+
+
 # Atom bitmask helpers (bit i stands for atom i), shared across the package.
 
 
@@ -65,7 +72,13 @@ def _submasks(mask: int) -> Iterator[int]:
 
 
 def _weighted_sum(weights: Sequence[ExtRational], mask: int) -> ExtRational:
-    return sum((weights[i] for i in _ids(mask)), ExtRational(0))
+    """The exact sum of the weights of the atoms in `mask`, lowest first."""
+    total = ExtRational(0)
+    while mask:
+        low = mask & -mask
+        total = total + weights[low.bit_length() - 1]
+        mask ^= low
+    return total
 
 
 class FiniteMeasureSpace:
@@ -202,6 +215,8 @@ class _AtomMask:
     def __init__(self, owner, mask: int):
         if type(mask) is not int:
             raise TypeError(self._type_message.format(mask=mask))
+        if not isinstance(owner, self._owner_type):  # tested inline: built in bulk
+            _require(owner, self._owner_type, self._owner_role)
         # a negative mask has infinitely many bits: _ids would never stop on it
         if mask < 0 or mask & ~owner._top:
             raise ValueError(self._range_message.format(mask=mask, owner=owner))
@@ -251,6 +266,8 @@ class MeasurableSet(_AtomMask):
 
     __slots__ = ()
     space = _AtomMask._owner
+    _owner_type = FiniteMeasureSpace
+    _owner_role = "a set's space"
     _expected = "expected a MeasurableSet"
     _type_message = "a set's atom mask must be an int, not {mask!r}"
     _range_message = "atom mask {mask:#b} does not fit {owner.n_atoms} atoms"

@@ -1,11 +1,13 @@
 """Maps: measurability, pushforward, the induced hom, compression routes."""
 
+import inspect
 import random
 import time
 from fractions import Fraction
 
 import pytest
 
+import malg
 import malg.maps
 from malg import (
     INF,
@@ -18,7 +20,9 @@ from malg import (
     MeasurableMap,
     NotInverseNilPreserving,
     NotMeasurable,
+    PushforwardMeasure,
     UnknownPoint,
+    build_algebra,
     check_hom_laws,
     check_well_definedness,
     compose,
@@ -321,6 +325,74 @@ def test_bounded_rejects_negative_values():
     with pytest.raises(ValueError, match="never negative"):
         CompressionResult(Fraction(-1))
     assert CompressionResult.bounded("1/2").times(CompressionResult.bounded(4)).value == 2
+
+
+def test_pushforward_measure_takes_one_ext_rational_per_target_atom(phi):
+    target = phi.target
+    assert PushforwardMeasure(target, [ExtRational(5, 6), ExtRational(0)]) == pushforward(phi)
+    for masses in ((0.5, ExtRational(0)), (Fraction(5, 6), ExtRational(0)), (1, 0)):
+        with pytest.raises(TypeError, match="pushforward mass"):
+            PushforwardMeasure(target, masses)
+    for masses in ((), (ExtRational(1),), (ExtRational(1),) * 3):
+        with pytest.raises(ValueError, match="target atoms"):
+            PushforwardMeasure(target, masses)
+
+
+# Classes of malg.__all__ whose constructors need not refuse a float, each
+# with the reason; every other public class must.
+NOT_VALIDATED = {
+    "BruteForceReport": "report only: lipschitz_bruteforce builds it from its own checked values",
+    "LawReport": "report only: check_hom_laws builds it from LawViolations, which validate",
+    "MorphismClassification": "report only: classify builds it from its own checked values",
+}
+
+
+def _constructor_cases():
+    """For each validating public class: valid arguments, and for some
+    argument positions float-bearing values besides a bare float."""
+    space = make_space(["a", "b"], [["a"], ["b"]], [1, 2])
+    point = make_space(["x"], [["x"]], [1])
+    algebra, point_algebra = build_algebra(space), build_algebra(point)
+    return {
+        "AlgebraElement": ((algebra, 1), {}),
+        "BooleanHom": ((point_algebra, algebra, {0: 3}), {2: [{0: 0.5}]}),
+        "CompressionResult": ((Fraction(1, 2),), {}),
+        "ExtRational": ((1, 2), {}),
+        "FiniteMeasureSpace": ((["a"], [["a"]], [1]), {2: [[0.5]]}),
+        "FiniteMetricMeasureSpace": (
+            (space, [[0, 1], [1, 0]]), {1: [[[0, 0.5], [0.5, 0]]]},
+        ),
+        "L1Function": ((space, {0: 1, 1: 2}), {1: [{0: 0.5, 1: 2}]}),
+        "LawViolation": (("preserves-zero", {"got": [0]}), {}),
+        "MeasurableMap": ((space, point, {"a": "x", "b": "x"}), {}),
+        "MeasurableSet": ((space, 1), {}),
+        "MeasureAlgebra": ((space,), {}),
+        "PushforwardMeasure": ((point, (ExtRational(3),)), {1: [(0.5,)]}),
+        "SplitMix64": ((7,), {}),
+    }
+
+
+def test_public_constructors_refuse_floats():
+    # the README's no-floats rule at every public constructor: a float in
+    # any argument raises TypeError or ValueError, never another error
+    # and never a value; exceptions take any message, as in Python
+    public = {
+        name for name in malg.__all__
+        if isinstance(getattr(malg, name), type)
+        and not issubclass(getattr(malg, name), BaseException)
+    }
+    cases = _constructor_cases()
+    assert public == cases.keys() | NOT_VALIDATED.keys()
+    assert not cases.keys() & NOT_VALIDATED.keys()
+    for name, (args, float_bearing) in cases.items():
+        cls = getattr(malg, name)
+        assert len(inspect.signature(cls).parameters) == len(args), name
+        cls(*args)
+        for i in range(len(args)):
+            for bad in (0.5, *float_bearing.get(i, ())):
+                with pytest.raises((TypeError, ValueError)):
+                    cls(*args[:i], bad, *args[i + 1:])
+                    pytest.fail(f"{name} accepted {bad!r} as argument {i}")
 
 
 def test_compression_constant_maps(s3_to_q1, s3):

@@ -2,6 +2,7 @@
 from {0, 1/3, 1, 2, inf}, up to relabelling (the small-scope hypothesis:
 most faults show on some small instance)."""
 
+from dataclasses import replace
 from fractions import Fraction
 from functools import cache
 from itertools import combinations_with_replacement
@@ -109,3 +110,17 @@ def test_every_small_map():
             a, b = brute.witness
             attained = rho(hom.apply(a), hom.apply(b))
             assert attained == brute.result.value * rho(a, b), form
+
+
+def test_oracle_computes_each_unordered_pair_once():
+    # a bounded form with 2^n >= 2 finite target elements computes
+    # 2^n (2^n - 1) / 2 ratios, one per unordered pair; any other form none
+    for form in canonical_forms():
+        phi = build_map(form)
+        brute = lipschitz_bruteforce(phi)
+        n = sum(1 for w in phi.target.weights if not (w.is_zero or w.is_infinite))
+        elements = 1 << n
+        expected = elements * (elements - 1) // 2 if brute.result.is_bounded else 0
+        assert brute.pairs == expected, form
+    # the count takes no part in equality
+    assert brute == replace(brute, pairs=brute.pairs + 1)
