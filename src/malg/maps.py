@@ -16,7 +16,8 @@ Three routes compute the same constant and must agree exactly:
   of finite-measure algebra elements in its own Fraction pair loop. It
   visits each unordered pair once: both distances are symmetric in the
   pair, for any table of images, so the two orders of a pair have one
-  ratio.
+  ratio. One running best pair, the first to attain the max, gives the
+  witness.
 
 The three share no ratio code on purpose, so a fault in one route's
 arithmetic leaves it alone against the other two; the third is the oracle.
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from operator import and_, or_
 from typing import Mapping, Optional
@@ -428,18 +430,24 @@ class BruteForceReport:
     """Outcome of the exhaustive pair enumeration.
 
     `witness` is the canonically-first attaining ordered pair, preferring
-    pairs whose second component is the zero element; `attained_at_empty`
-    says whether any (a, zero) pair attains the max. Both are None when
-    there is no pair to enumerate or the result is Unbounded. `pairs`
-    counts the unordered pairs whose ratio was computed: 2^n (2^n - 1) / 2
-    for n non-null target atoms of finite weight, and 0 when none was. It
-    takes no part in == and no report renders it.
+    pairs whose second component is the zero element; it is None when
+    there is no pair to enumerate or the result is Unbounded.
+    `attained_at_empty` is derived from it: whether its second component
+    is zero, so whether any (a, zero) pair attains the max, and None with
+    no witness. `pairs` counts the unordered pairs whose ratio was
+    computed: 2^n (2^n - 1) / 2 for n non-null target atoms of finite
+    weight, and 0 when none was. It takes no part in == and no report
+    renders it.
     """
 
     result: CompressionResult
     witness: Optional[tuple[AlgebraElement, AlgebraElement]]
-    attained_at_empty: Optional[bool]
     pairs: int = field(default=0, compare=False)
+
+    @property
+    def attained_at_empty(self) -> Optional[bool]:
+        """Whether an (a, zero) pair attains the max; None with no witness."""
+        return None if self.witness is None else self.witness[1].is_zero
 
 
 DEFAULT_BUDGET = 12  # non-null target atoms the oracle enumerates by default
@@ -460,9 +468,11 @@ def lipschitz_bruteforce(
     are symmetric in (a, b) for any table of images, lawful or faulty.
     The witness is the same too: if the first ordered pair (x, y) to
     attain the max had y before x, then (y, x) would attain it and come
-    earlier. Zero comes first, so the loop's first row holds the
-    (a, zero) ratios, and the scan for an attaining (a, zero) pair reads
-    them from there.
+    earlier. The loop keeps one running best pair, replaced only by a
+    row whose max is strictly larger, at that max's first place in the
+    row, so it is the first unordered pair to attain the max. Zero comes
+    first, so when any (zero, b) attains it, the best pair is the first
+    such one and the witness is (b, zero); otherwise it is the best pair.
     """
     if type(budget) is not int:
         raise TypeError(f"budget must be an int, not {budget!r}")
@@ -472,7 +482,7 @@ def lipschitz_bruteforce(
             f"{n_nonnull} non-null target atoms exceed the budget of {budget}"
         )
     if not is_inverse_nil_preserving(phi):
-        return BruteForceReport(UNBOUNDED, None, None)
+        return BruteForceReport(UNBOUNDED, None)
     hom = induced_homomorphism(phi)
     domain = hom.domain
 
@@ -491,50 +501,32 @@ def lipschitz_bruteforce(
 
     infinite_src = phi.source._nonnull_mask ^ phi.source._fin_mask
     if images[domain._fin] & infinite_src:
-        return BruteForceReport(UNBOUNDED, None, None)  # fin ideal broken
+        return BruteForceReport(UNBOUNDED, None)  # fin ideal broken
 
     src_weights = phi.source.weights
-    mu1_cache: dict[int, Fraction] = {}
 
+    @cache
     def mu1(mask: int) -> Fraction:
-        got = mu1_cache.get(mask)
-        if got is None:
-            got = Fraction(0)
-            for a in _ids(mask):
-                got += src_weights[a].as_fraction()
-            mu1_cache[mask] = got
-        return got
-
-    if len(order) < 2:
-        return BruteForceReport(CompressionResult.bounded(0), None, None)
+        return sum((src_weights[a].as_fraction() for a in _ids(mask)), Fraction(0))
 
     best: Optional[Fraction] = None
     best_pair: Optional[tuple[int, int]] = None
-    at_empty: list[Fraction] = []  # the (b, zero) ratios: zero comes first
     pairs = 0
-    for i, a in enumerate(order):
+    for i, a in enumerate(order[:-1]):
         img_a = images[a]
         row = order[i + 1:]
         ratios = [mu1(img_a ^ images[b]) / mu2[a ^ b] for b in row]
         pairs += len(ratios)
-        if not i:
-            at_empty = ratios
-        for b, ratio in zip(row, ratios):
-            if best is None or ratio > best:
-                best = ratio
-                best_pair = (a, b)
+        top = max(ratios)
+        if best is None or top > best:
+            best, best_pair = top, (a, row[ratios.index(top)])
 
-    empty_pair: Optional[tuple[int, int]] = None
-    for b, ratio in zip(order[1:], at_empty):
-        if ratio == best:
-            empty_pair = (b, 0)
-            break
-
-    pair = empty_pair if empty_pair is not None else best_pair
+    if best_pair is None:
+        return BruteForceReport(CompressionResult.bounded(0), None)
+    a, b = best_pair
+    pair = (b, 0) if a == 0 else best_pair
     witness = (AlgebraElement(domain, pair[0]), AlgebraElement(domain, pair[1]))
-    return BruteForceReport(
-        CompressionResult.bounded(best), witness, empty_pair is not None, pairs
-    )
+    return BruteForceReport(CompressionResult.bounded(best), witness, pairs)
 
 
 @dataclass(frozen=True)

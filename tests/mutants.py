@@ -13,8 +13,8 @@ session. A row is killed by the first of its observers, run cheapest
 first, whose output under the fault leaves the clean output; the
 observer stops at the first item that differs, and an exception that
 ends it counts as a difference. A row that must survive names why it is
-equivalent. A route row names the route that each theorem-check
-violation must show alone against the other two.
+equivalent. A route row that changes the constant names the route that
+each theorem-check violation must show alone against the other two.
 
 test_cli and test_maps run the rows: one parametrized test for each
 observer set, under the test names the rows have always had. Run them
@@ -344,9 +344,10 @@ SHORTCUT = ("hom-laws",)
 
 
 MUTANTS = {
-    # Faults in the three routes to the constant: theorem-check on 30
-    # seeded instances must exit 1, and every violation must show the
-    # faulty route alone against the other two.
+    # Faults in the three routes to the constant, seen by theorem-check on
+    # 30 seeded instances. A row that names a route `alone` must make it
+    # exit 1, and every violation must show that route alone against the
+    # other two; the oracle's witness rows change the report's bytes only.
     # only compression reads the pushforward
     "pushforward-_skip_last_source_atom-compression": Mutant(
         malg.maps, "pushforward", None, _skip_last_source_atom, ROUTE,
@@ -375,12 +376,35 @@ MUTANTS = {
         malg.maps, "lipschitz_fast", "p * den > num * q", "p * den < num * q", ROUTE,
         alone="lipschitz_fast",
     ),
-    # and the oracle's: a flipped comparison in its pair loop, a meet for
-    # the join in its images recurrence, a doubled target weight in its
-    # mass recurrence
+    # and the oracle's: a flipped comparison and a row's min for its max in
+    # its pair loop, a meet for the join in its images recurrence, a
+    # doubled target weight in its mass recurrence
     "lipschitz_bruteforce-flipped-comparison": Mutant(
-        malg.maps, "lipschitz_bruteforce", "ratio > best", "ratio < best", ROUTE,
+        malg.maps, "lipschitz_bruteforce", "top > best", "top < best", ROUTE,
         alone="lipschitz_bruteforce",
+    ),
+    "lipschitz_bruteforce-row-min": Mutant(
+        malg.maps, "lipschitz_bruteforce", "top = max(ratios)", "top = min(ratios)",
+        ROUTE,
+        alone="lipschitz_bruteforce",
+    ),
+    # the oracle's witness: the (zero, b) best pair left unreversed, and a
+    # row's last attaining pair for its first. The constant is unchanged,
+    # so theorem-check exits 0 and only its witness bytes differ: no route
+    # is alone
+    "lipschitz_bruteforce-witness-unoriented": Mutant(
+        malg.maps,
+        "lipschitz_bruteforce",
+        "pair = (b, 0) if a == 0 else best_pair",
+        "pair = best_pair",
+        ROUTE,
+    ),
+    "lipschitz_bruteforce-last-attaining": Mutant(
+        malg.maps,
+        "lipschitz_bruteforce",
+        "row[ratios.index(top)]",
+        "row[len(ratios) - 1 - ratios[::-1].index(top)]",
+        ROUTE,
     ),
     "lipschitz_bruteforce-images-join-as-meet": Mutant(
         malg.maps,

@@ -44,7 +44,6 @@ from malg.maps import _joins_certified
 
 from helpers import (
     definition_pair_oracle,
-    drop_lowest_image_atom,
     oracle_compression,
     oracle_outputs,
     oracle_pushforward_masses,
@@ -57,6 +56,7 @@ from helpers import (
 from mutants import (
     NULL,
     SHORTCUT,
+    _drop_lowest_image_atom,
     _faulty_homs,
     _null_law_maps,
     _report_items,
@@ -552,15 +552,13 @@ def test_bruteforce_matches_reference(monkeypatch):
     clean = outputs()
     assert clean == [definition_pair_oracle(phi, point_images(phi)) for phi in randoms]
 
-    def faulty_hom(phi):
-        return drop_lowest_image_atom(induced_homomorphism(phi))
-
-    monkeypatch.setattr(malg.maps, "induced_homomorphism", faulty_hom)
+    monkeypatch.setattr(malg.maps, "induced_homomorphism", _drop_lowest_image_atom)
     faulty = outputs()
     assert faulty != clean  # the fault reaches the oracle
     assert faulty == [
         definition_pair_oracle(
-            phi, faulty_hom(phi).atom_masks if point_null_laws(phi)[0] else None
+            phi,
+            _drop_lowest_image_atom(phi).atom_masks if point_null_laws(phi)[0] else None,
         )
         for phi in randoms
     ]
