@@ -116,6 +116,23 @@ def test_every_small_map():
             a, b = brute.witness
             attained = rho(hom.apply(a), hom.apply(b))
             assert attained == brute.result.value * rho(a, b), form
+
+
+def test_oracle_computes_each_unordered_pair_once():
+    # test_every_small_map checks the count on every form; these name it:
+    # 2^n finite target elements give 2^n (2^n - 1) / 2 ratios, and an
+    # unbounded form none
+    cases = {
+        ((2, (2,)),): 1,
+        ((1, (1, 2)), (2, ())): 6,
+        ((1, (2,)), (2, (3,)), (3, (1,))): 28,
+        ((4, (2,)),): 0,
+        ((0, (2,)),): 0,
+    }
+    for form, pairs in cases.items():
+        brute = lipschitz_bruteforce(build_map(form))
+        assert brute.pairs == pairs, form
+    assert not brute.result.is_bounded
     # the report stores these three fields, and the count takes no part in
     # equality
     assert [f.name for f in fields(brute)] == ["result", "witness", "pairs"]
