@@ -39,9 +39,7 @@ class MeasureAlgebra:
     fin_atoms: tuple[int, ...]
 
     def __init__(self, space: FiniteMeasureSpace):
-        # tested inline: build_algebra builds an algebra again once no hom holds it
-        if not isinstance(space, FiniteMeasureSpace):
-            _require(space, FiniteMeasureSpace, "an algebra's space")
+        _require(space, FiniteMeasureSpace, "an algebra's space")
         # the space sorted its atoms into these classes when it was built
         self.space = space
         self.nonnull_atoms = space.nonnull_atom_ids

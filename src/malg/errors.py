@@ -21,8 +21,8 @@ class PartitionOverlap(MalgError):
     """Two partition blocks share a point."""
 
 
-class NegativeWeight(MalgError):
-    """Atom weights must be non-negative."""
+class NegativeWeight(MalgError, ValueError):
+    """A measure value, such as an atom weight, below zero."""
 
 
 class ArityMismatch(MalgError):

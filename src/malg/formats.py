@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .algebra import AlgebraElement
-from .errors import ArityMismatch, InvalidDocument
+from .errors import ArityMismatch, InvalidDocument, NegativeWeight
 from .maps import MeasurableMap, make_map
 from .metric import FiniteMetricMeasureSpace
 from .rationals import INF, ExtRational, parse_rational
@@ -45,9 +45,10 @@ def _read_rational(text, field: str, kind: str) -> Optional[Fraction]:
 
 def _read_weight(text, field: str) -> ExtRational:
     value = _read_rational(text, field, "weight")
-    if value is not None and value < 0:
-        raise InvalidDocument(f"{field}: weight {text!r} is negative")
-    return INF if value is None else ExtRational(value)
+    try:
+        return INF if value is None else ExtRational(value)
+    except NegativeWeight:
+        raise InvalidDocument(f"{field}: weight {text!r} is negative") from None
 
 
 def space_to_obj(space: FiniteMeasureSpace) -> dict:

@@ -10,7 +10,7 @@ from fractions import Fraction
 from functools import total_ordering
 from typing import Optional, Union
 
-from .errors import InvalidRational, ZeroDenominator
+from .errors import InvalidRational, NegativeWeight, ZeroDenominator
 
 RationalLike = Union["ExtRational", Fraction, int, str]
 
@@ -56,11 +56,11 @@ def parse_rational(text: str) -> Optional[Fraction]:
     return value
 
 
-def to_fraction(value, finite: bool = True) -> Optional[Fraction]:
-    """The one coercion of numbers from callers: an int, a Fraction, or a
-    string through parse_rational; signs pass through. "inf" gives None if
-    `finite` is False, else InvalidRational; any other type raises TypeError.
-    A Fraction is immutable and in lowest terms, so it comes back as is."""
+def to_fraction(value) -> Fraction:
+    """The one coercion of finite numbers from callers: an int, a Fraction,
+    or a string through parse_rational; signs pass through. "inf" raises
+    InvalidRational; any other type raises TypeError. A Fraction is
+    immutable and in lowest terms, so it comes back as is."""
     if type(value) is Fraction:
         return value
     if isinstance(value, (int, Fraction)):
@@ -68,7 +68,7 @@ def to_fraction(value, finite: bool = True) -> Optional[Fraction]:
     if not isinstance(value, str):
         raise TypeError(f"expected an int, Fraction or str, not {value!r}")
     frac = parse_rational(value)
-    if frac is None and finite:
+    if frac is None:
         raise InvalidRational(f"expected a finite rational, not {value!r}")
     return frac
 
@@ -77,10 +77,13 @@ def to_fraction(value, finite: bool = True) -> Optional[Fraction]:
 class ExtRational:
     """A non-negative rational kept in lowest terms, or +infinity.
 
-    Instances are immutable, hashable, and totally ordered with every
-    finite value below infinity. Addition and multiplication accept ints
-    and Fractions on either side; subtraction is deliberately absent
-    (the domain is non-negative).
+    The one coercion of measure values: it takes an ExtRational, an int, a
+    Fraction, or a string through parse_rational ("inf" is infinity), and
+    raises NegativeWeight, a MalgError that is also a ValueError, on a
+    value below zero. Instances are immutable, hashable, and totally
+    ordered with every finite value below infinity. Addition and
+    multiplication accept ints and Fractions on either side; subtraction
+    is deliberately absent (the domain is non-negative).
     """
 
     __slots__ = ("_frac",)
@@ -95,10 +98,12 @@ class ExtRational:
                 raise ZeroDenominator("denominator is zero") from None
         elif isinstance(value, ExtRational):
             frac = value._frac
+        elif isinstance(value, str):
+            frac = parse_rational(value)
         else:
-            frac = to_fraction(value, finite=False)
+            frac = to_fraction(value)
         if frac is not None and frac < 0:
-            raise ValueError(f"negative value not allowed: {frac}")
+            raise NegativeWeight(f"negative value not allowed: {frac}")
         self._frac = frac
 
     @classmethod
@@ -151,12 +156,6 @@ class ExtRational:
 
     __rmul__ = __mul__
 
-    def _key(self):
-        # order key: finite values first, by magnitude; infinity above all
-        if self._frac is None:
-            return (1, Fraction(0))
-        return (0, self._frac)
-
     def __eq__(self, other) -> bool:
         rhs = self._coerce(other)
         if rhs is None:
@@ -167,7 +166,10 @@ class ExtRational:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return self._key() < rhs._key()
+        # infinity lies above every finite value
+        if self._frac is None:
+            return False
+        return rhs._frac is None or self._frac < rhs._frac
 
     def __hash__(self):
         if self._frac is None:

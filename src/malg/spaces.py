@@ -16,22 +16,12 @@ from .errors import (
     ArityMismatch,
     DuplicatePoint,
     ForeignSet,
-    NegativeWeight,
     NotMeasurable,
     PartitionGap,
     PartitionOverlap,
     UnknownPoint,
 )
-from .rationals import INF, ExtRational, to_fraction
-
-
-def _coerce_weight(raw, position: int) -> ExtRational:
-    if isinstance(raw, ExtRational):
-        return raw
-    frac = to_fraction(raw, finite=False)
-    if frac is not None and frac < 0:
-        raise NegativeWeight(f"weights[{position}] = {frac} is negative")
-    return INF if frac is None else ExtRational(frac)
+from .rationals import ExtRational
 
 
 def _require(value, kind: type, role: str):
@@ -115,7 +105,10 @@ class FiniteMeasureSpace:
             raise ArityMismatch(
                 f"{len(blocks)} partition blocks but {len(raw_weights)} weights"
             )
-        coerced = [_coerce_weight(w, i) for i, w in enumerate(raw_weights)]
+        # an ExtRational weight is kept, not copied
+        coerced = [
+            w if isinstance(w, ExtRational) else ExtRational(w) for w in raw_weights
+        ]
 
         covered: set[str] = set()
         for block in blocks:
@@ -215,8 +208,7 @@ class _AtomMask:
     def __init__(self, owner, mask: int):
         if type(mask) is not int:
             raise TypeError(self._type_message.format(mask=mask))
-        if not isinstance(owner, self._owner_type):  # tested inline: built in bulk
-            _require(owner, self._owner_type, self._owner_role)
+        _require(owner, self._owner_type, self._owner_role)
         # a negative mask has infinitely many bits: _ids would never stop on it
         if mask < 0 or mask & ~owner._top:
             raise ValueError(self._range_message.format(mask=mask, owner=owner))
@@ -287,11 +279,14 @@ class MeasurableSet(_AtomMask):
 def make_space(points: Sequence[str], partition, weights) -> FiniteMeasureSpace:
     """Validate and build a space; atoms come out in canonical order.
 
-    Weights may be ints, Fractions, ExtRationals, or strings ("p/q", "inf");
-    a float raises TypeError, and so does a point label that is not a str.
+    Each weight goes through ExtRational, the one coercion of measure
+    values: an int, a Fraction or a string ("p/q", "inf"); an ExtRational
+    is kept as is. A negative weight raises NegativeWeight, malformed text
+    InvalidRational, and a float TypeError, as does a point label that is
+    not a str.
 
     Raises DuplicatePoint, PartitionGap, PartitionOverlap, UnknownPoint,
-    NegativeWeight, or ArityMismatch on malformed input.
+    or ArityMismatch on a malformed partition or weight count.
     """
     return FiniteMeasureSpace(points, partition, weights)
 

@@ -92,6 +92,17 @@ def test_validate_point_repeated_in_one_atom(capsys, tmp_path):
     assert entry["detail"] == "point 'a' listed twice in one atom"
 
 
+def test_validate_negative_weight(capsys, tmp_path):
+    doc = {"points": ["a"], "atoms": [["a"]], "weights": ["-1/2"]}
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps(doc))
+    code, report = run_cli(capsys, ["validate", str(path)])
+    assert code == 2 and report["exit_code"] == 2
+    entry = report["results"]["files"][0]
+    assert entry["error"] == "InvalidDocument"
+    assert entry["detail"] == "weights[0]: weight '-1/2' is negative"
+
+
 def test_validate_non_measurable_map(capsys, tmp_path):
     doc = {
         "source": {"points": ["r1", "r2"], "atoms": [["r1", "r2"]], "weights": ["1"]},

@@ -5,7 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from malg import INF, ExtRational, InvalidRational, ZeroDenominator
+from malg import (
+    INF,
+    ExtRational,
+    InvalidRational,
+    MalgError,
+    NegativeWeight,
+    ZeroDenominator,
+    make_space,
+)
 from malg.rationals import parse_rational, to_fraction
 
 from helpers import general_parse_rational
@@ -28,12 +36,15 @@ def test_integer_and_string_forms():
 
 
 def test_negative_rejected():
-    with pytest.raises(ValueError):
-        ExtRational(-1)
-    with pytest.raises(ValueError):
-        ExtRational("-3/4")
-    with pytest.raises(ValueError):
-        ExtRational(Fraction(-1, 2))
+    # ExtRational states the sign rule once, for make_space too: a negative
+    # value raises NegativeWeight, a MalgError that is still a ValueError
+    for value in (-1, "-3/4", Fraction(-1, 2)):
+        with pytest.raises(NegativeWeight) as caught:
+            ExtRational(value)
+        assert isinstance(caught.value, MalgError)
+        assert isinstance(caught.value, ValueError)
+        with pytest.raises(NegativeWeight):
+            make_space(["p"], [["p"]], [value])
 
 
 def test_string_digit_bound():
@@ -49,8 +60,8 @@ def test_string_digit_bound():
     with pytest.raises(InvalidRational):
         ExtRational("abc")
     with pytest.raises(InvalidRational):
-        to_fraction("inf")  # finite values only by default
-    assert to_fraction("inf", finite=False) is None
+        to_fraction("inf")  # finite values only
+    assert ExtRational("inf") == INF
 
 
 def _outcome(parse, text):

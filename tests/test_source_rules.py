@@ -5,6 +5,7 @@ import left unused."""
 import ast
 import sys
 from pathlib import Path
+from typing import Optional
 
 import malg
 
@@ -305,3 +306,35 @@ def test_mutants_are_planted_by_the_registry_only():
                 func = node.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
                 assert name != "mutated", f"{path.name}:{node.lineno} calls mutated"
+
+
+def _raised_name(node) -> Optional[str]:
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return exc.id if isinstance(exc, ast.Name) else None
+
+
+def test_one_weight_coercion():
+    # ExtRational is the one coercion of measure values: the sign rule is
+    # written once, in rationals.py; no function takes a `finite` knob that
+    # lets "inf" through a finite parse; and each type check is one _require
+    # call, with no isinstance test in front of it
+    sign_rules = []
+    for name, tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                if _raised_name(node) == "NegativeWeight":
+                    sign_rules.append(f"{name}:{node.lineno}")
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+                assert "finite" not in params, (
+                    f"{name}:{node.lineno} takes a parameter named finite"
+                )
+            if isinstance(node, ast.If) and "isinstance" in _called_names(node.test):
+                guarded = set().union(*map(_called_names, node.body))
+                assert "_require" not in guarded, (
+                    f"{name}:{node.lineno} tests isinstance before _require"
+                )
+    assert len(sign_rules) == 1 and sign_rules[0].startswith("rationals.py:"), (
+        f"NegativeWeight is raised at {sign_rules}"
+    )
