@@ -30,6 +30,7 @@ from typing import Optional
 from .errors import BudgetExceeded, InvalidDocument, MalgError
 from .formats import (
     dumps_canonical,
+    dumps_indented,
     element_to_obj,
     map_to_obj,
     metric_space_to_obj,
@@ -267,7 +268,7 @@ def render(report: dict, fmt: str) -> str:
     else:
         lines.append("violations: none")
     lines.append("results:")
-    lines.append(json.dumps(report["results"], indent=2))
+    lines.append(dumps_indented(report["results"]))
     return "\n".join(lines) + "\n"
 
 

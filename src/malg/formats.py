@@ -3,13 +3,14 @@
 Field order is fixed and all rationals are lowest-term strings ("5/6",
 "3", "0", "inf"), so serializing equal values always produces identical
 bytes. Distance tables serialize as the upper triangle, flattened
-row-major in point order.
+row-major in point order. Every report is written by `dumps_indented`,
+which gives the bytes of `json.dumps(obj, indent=2)`.
 """
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Optional
 
 from .algebra import AlgebraElement
@@ -28,9 +29,67 @@ MAX_METRIC_POINTS = 200
 MAX_DISTANCE_DIGITS = 18
 
 
+def dumps_indented(obj) -> str:
+    """The bytes of `json.dumps(obj, indent=2)`, written directly.
+
+    Reads dicts with str keys, lists, strs, ints, bools and None; any other
+    value, a float included, raises TypeError. Strings are escaped by the
+    json module's ASCII escaper (its C version where there is one), and the
+    text is one join of one list of chunks, so a render leaves no cyclic
+    garbage behind, where json's indenting encoder leaves its closures.
+    """
+    chunks: list[str] = []
+    _write(obj, chunks, "\n")
+    return "".join(chunks)
+
+
+def _write(value, out: list, newline: str) -> None:
+    """Append `value`'s chunks to `out`; `newline` is the line break and
+    indent of the line `value` starts on."""
+    kind = type(value)
+    if kind is str:
+        out.append(encode_basestring_ascii(value))
+    elif kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        lead = "{" + inner
+        for key, item in value.items():
+            if type(key) is not str:
+                raise TypeError(f"a report key is a str, not {key!r}")
+            out.append(lead)
+            out.append(encode_basestring_ascii(key))
+            out.append(": ")
+            _write(item, out, inner)
+            lead = "," + inner
+        out.append(newline + "}")
+    elif kind is list:
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        lead = "[" + inner
+        for item in value:
+            out.append(lead)
+            _write(item, out, inner)
+            lead = "," + inner
+        out.append(newline + "]")
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif kind is int:
+        out.append(int.__repr__(value))
+    else:
+        raise TypeError(f"a report value cannot be a {kind.__name__}: {value!r}")
+
+
 def dumps_canonical(obj) -> str:
     """Stable textual form of a report object (insertion-ordered keys)."""
-    return json.dumps(obj, indent=2) + "\n"
+    return dumps_indented(obj) + "\n"
 
 
 def _read_rational(text, field: str, kind: str) -> Optional[Fraction]:

@@ -137,18 +137,22 @@ def lipschitz_point(
     """Pointwise Lipschitz constant: max distance ratio over point pairs.
 
     Always bounded on finite spaces; constant maps and single points give
-    Bounded(0) (an empty sup).
+    Bounded(0) (an empty sup). The best ratio is an int pair (num, den):
+    each pair's d2 / d1 is p / q with q > 0, since distinct points are at
+    a positive distance, so it is compared by cross-multiplying, and one
+    Fraction is made at the end.
     """
     if phi.source != source_metric.base or phi.target != target_metric.base:
         raise SpaceMismatch("metric structures do not match the map's spaces")
-    best = Fraction(0)
+    num, den = 0, 1
     for x, y in combinations(phi.source.points, 2):
         d1 = source_metric.distance(x, y)
         d2 = target_metric.distance(phi.point_fn[x], phi.point_fn[y])
-        ratio = d2 / d1
-        if ratio > best:
-            best = ratio
-    return CompressionResult.bounded(best)
+        p = d2.numerator * d1.denominator
+        q = d2.denominator * d1.numerator
+        if p * den > num * q:
+            num, den = p, q
+    return CompressionResult.bounded(Fraction(num, den))
 
 
 @dataclass(frozen=True)
@@ -159,7 +163,8 @@ class MorphismClassification:
     The rescale factors are guidance for making the map short and are
     reported only when the Lipschitz constant exceeds 1: scaling source
     distances by `rescale_source_to_short`, or target distances by
-    `rescale_target_to_short`, yields constant exactly 1.
+    `rescale_target_to_short`, yields constant exactly 1. Each field's
+    type is checked on construction.
     """
 
     measurable: bool
@@ -170,6 +175,22 @@ class MorphismClassification:
     bounded_deformation: Optional[bool] = None
     rescale_source_to_short: Optional[Fraction] = None
     rescale_target_to_short: Optional[Fraction] = None
+
+    def __post_init__(self):
+        _require(self.measurable, bool, "measurable")
+        _require(self.inverse_nil_preserving, bool, "inverse_nil_preserving")
+        _require(self.compression, CompressionResult, "compression")
+        optional = (
+            ("lipschitz_point", CompressionResult),
+            ("short", bool),
+            ("bounded_deformation", bool),
+            ("rescale_source_to_short", Fraction),
+            ("rescale_target_to_short", Fraction),
+        )
+        for name, kind in optional:
+            value = getattr(self, name)
+            if value is not None:
+                _require(value, kind, name)
 
 
 def classify(

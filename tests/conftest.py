@@ -1,19 +1,23 @@
-"""Shared fixtures: the worked examples and the 20-space fixture set."""
+"""Shared fixtures: the worked examples, the documents of the pinned CLI
+reports and the 20-space fixture set."""
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import pytest
 
 from malg import (
     ExtRational,
+    identity_map,
     make_map,
     make_metric_space,
     make_space,
     random_space,
     trial_rng,
 )
+from malg.formats import dumps_canonical, map_to_obj, space_to_obj
 
 FIXTURE_SEED = 404
 
@@ -60,6 +64,43 @@ def s2_metric():
 @pytest.fixture
 def s3_metric():
     return make_metric_space(["r1", "r2"], [1, 2], [[0, 1], [1, 0]])
+
+
+# A metric map whose weights and distances spell numbers in each way the
+# parser accepts: a fraction, leading zeros, decimals, an exponent, a sign,
+# spaces, an underscore, a non-ASCII digit and "inf".
+SPELLINGS = {
+    "source": {
+        "points": ["a", "b", "c"],
+        "atoms": [["a"], ["b"], ["c"]],
+        "weights": ["6/4", "007", " 2 "],
+        "dist": ["25e-1", "+3", "\u0663"],
+    },
+    "target": {
+        "points": ["x", "y", "z"],
+        "atoms": [["x"], ["y"], ["z"]],
+        "weights": ["1.25", "inf", "1_000"],
+        "dist": ["+3", " 2 ", "1.25"],
+    },
+    "fn": {"a": "x", "b": "x", "c": "z"},
+}
+
+
+@pytest.fixture
+def pinned_documents(monkeypatch, tmp_path, phi, s1, s2_metric, s3_metric):
+    """The documents the pinned cases name, in the working directory."""
+    const = make_map(s3_metric.base, s2_metric.base, {"r1": "q1", "r2": "q1"})
+    documents = {
+        "s1.json": dumps_canonical(space_to_obj(s1)),
+        "bad.json": json.dumps({"points": ["a"], "atoms": [[]], "weights": ["1"]}),
+        "phi.json": dumps_canonical(map_to_obj(phi)),
+        "const.json": dumps_canonical(map_to_obj(const, s3_metric, s2_metric)),
+        "id.json": dumps_canonical(map_to_obj(identity_map(s1))),
+        "spellings.json": json.dumps(SPELLINGS),
+    }
+    for name, text in documents.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
 
 
 def build_fixture_spaces() -> list:

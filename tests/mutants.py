@@ -7,7 +7,7 @@ function is replaced in every malg module that binds it, since the cli
 and metric import the routes and the induced hom by name; a method is
 replaced on its class.
 
-Six observers read malg through its modules. Each yields its output item
+Seven observers read malg through its modules. Each yields its output item
 by item, and its clean output is computed, and sanity-checked, once per
 session. A row is killed by the first of its observers, run cheapest
 first, whose output under the fault leaves the clean output; the
@@ -87,6 +87,26 @@ def _worked_example() -> tuple:
         "phi.json": dumps_canonical(map_to_obj(phi)),
     }
     return documents, induced_homomorphism(phi)
+
+
+# A metric map whose pointwise Lipschitz constant, 3/2, is attained only
+# on its last point pair (b, c): the classify observer's document. It is
+# written out, so no library code builds it.
+METRIC_MAP = {
+    "source": {
+        "points": ["a", "b", "c"],
+        "atoms": [["a"], ["b"], ["c"]],
+        "weights": ["1", "1", "1"],
+        "dist": ["1", "2", "2"],
+    },
+    "target": {
+        "points": ["x", "y", "z"],
+        "atoms": [["x"], ["y"], ["z"]],
+        "weights": ["1", "2", "1/2"],
+        "dist": ["1", "2", "3"],
+    },
+    "fn": {"a": "x", "b": "y", "c": "z"},
+}
 
 
 # Atom masks for the hom of phi (non-null atoms 0 and 1 into a codomain
@@ -272,6 +292,20 @@ def _functor_check():
         yield _cli("functor-check", "id.json", "phi.json")
 
 
+def _classify():
+    """classify on METRIC_MAP, as a json report and as a text report."""
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        patch.chdir(tmp)
+        Path("metric.json").write_text(json.dumps(METRIC_MAP))
+        for fmt in ("json", "text"):
+            yield _cli("classify", "metric.json", "--format", fmt)
+
+
+def _lipschitz(out) -> str:
+    """The pointwise constant of classify's json report."""
+    return json.loads(out[0][1])["results"]["classification"]["lipschitz"]
+
+
 def _reference():
     """What first differs between the functor-law path and point preimages
     on the 400 seed-0 random maps, whose spaces and maps it builds again."""
@@ -305,6 +339,9 @@ def _theorem_check():
 OBSERVERS = {
     "bad-masks": (_bad_masks, lambda out: "accepted" not in out),
     "functor-check": (_functor_check, lambda out: [code for code, _ in out] == [0, 1]),
+    "classify": (
+        _classify, lambda out: [code for code, _ in out] == [0, 0] and _lipschitz(out) == "3/2"
+    ),
     "reference": (_reference, lambda out: out == [None]),
     "null-laws": (_null_laws, all),
     "hom-laws": (_hom_laws, any),  # some faulty hom breaks a law
@@ -338,6 +375,7 @@ class Mutant(NamedTuple):
 # rows under the test name they have always had.
 ROUTE = ("theorem-check",)
 FUNCTOR = ("functor-check",)
+CLASSIFY = ("classify",)
 HOM = ("bad-masks", "functor-check", "reference", "theorem-check")
 NULL = ("null-laws",)
 SHORTCUT = ("hom-laws",)
@@ -421,6 +459,13 @@ MUTANTS = {
         "mu2[rest] + 2 * tgt_weights[high].as_fraction()",
         ROUTE,
         alone="lipschitz_bruteforce",
+    ),
+    # The pointwise Lipschitz constant's int comparison, seen by classify's
+    # json and text reports on METRIC_MAP: flipped, no pair ever replaces
+    # the starting 0/1.
+    "lipschitz_point-flipped-comparison": Mutant(
+        malg.metric, "lipschitz_point", "p * den > num * q", "p * den < num * q",
+        CLASSIFY,
     ),
     # The two functor-law checks, seen by functor-check's exit code and
     # report on id.json and phi.json, clean and under the planted fault.

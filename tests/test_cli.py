@@ -21,6 +21,7 @@ from malg.formats import (
 
 from helpers import python_child_output
 from mutants import (
+    CLASSIFY,
     FUNCTOR,
     HOM,
     ROUTE,
@@ -588,7 +589,9 @@ def test_parser_reused_across_calls(capsysbinary, s1, phi_file, tmp_path):
 
 
 # Report bytes of every command, as sha256 of stdout: any change to the
-# envelope, its key order, the text layout or an entry shows here.
+# envelope, its key order, the text layout or an entry shows here. The
+# documents they name come from conftest's pinned_documents; test_formats
+# checks the renderer on the same reports.
 PINNED_CASES = {
     "validate": (["validate", "bad.json", "s1.json"], 2),
     "classify": (["classify", "phi.json"], 0),
@@ -601,24 +604,6 @@ PINNED_CASES = {
     "validate-spellings": (["validate", "spellings.json"], 0),
     "classify-spellings": (["classify", "spellings.json"], 0),
     "theorem-check-spellings": (["theorem-check", "spellings.json"], 0),
-}
-# A metric map whose weights and distances spell numbers in each way the
-# parser accepts: a fraction, leading zeros, decimals, an exponent, a sign,
-# spaces, an underscore, a non-ASCII digit and "inf".
-SPELLINGS = {
-    "source": {
-        "points": ["a", "b", "c"],
-        "atoms": [["a"], ["b"], ["c"]],
-        "weights": ["6/4", "007", " 2 "],
-        "dist": ["25e-1", "+3", "\u0663"],
-    },
-    "target": {
-        "points": ["x", "y", "z"],
-        "atoms": [["x"], ["y"], ["z"]],
-        "weights": ["1.25", "inf", "1_000"],
-        "dist": ["+3", " 2 ", "1.25"],
-    },
-    "fn": {"a": "x", "b": "x", "c": "z"},
 }
 PINNED_SHA256 = {
     ("classify", "json"): "eef777a3c0a73deb68a7feb5c60d80deb403a960d2d13fb5b179b1efff099de9",
@@ -655,23 +640,6 @@ PLANTED_FAULT_SHA256 = {
 }
 
 
-@pytest.fixture
-def pinned_documents(monkeypatch, tmp_path, phi, s1, s2_metric, s3_metric):
-    """The documents the pinned cases name, in the working directory."""
-    const = make_map(s3_metric.base, s2_metric.base, {"r1": "q1", "r2": "q1"})
-    documents = {
-        "s1.json": dumps_canonical(space_to_obj(s1)),
-        "bad.json": json.dumps({"points": ["a"], "atoms": [[]], "weights": ["1"]}),
-        "phi.json": dumps_canonical(map_to_obj(phi)),
-        "const.json": dumps_canonical(map_to_obj(const, s3_metric, s2_metric)),
-        "id.json": dumps_canonical(map_to_obj(identity_map(s1))),
-        "spellings.json": json.dumps(SPELLINGS),
-    }
-    for name, text in documents.items():
-        (tmp_path / name).write_text(text)
-    monkeypatch.chdir(tmp_path)
-
-
 def _report_digest(capsys, argv, exit_code) -> str:
     assert main(argv) == exit_code
     return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
@@ -694,6 +662,11 @@ def test_planted_fault_report_bytes_pinned(capsys, monkeypatch, pinned_documents
 
 @pytest.mark.parametrize("name", mutant_names(FUNCTOR))
 def test_law_mutant_changes_functor_check(name):
+    assert_verdict(name)
+
+
+@pytest.mark.parametrize("name", mutant_names(CLASSIFY))
+def test_classify_mutant_changes_reports(name):
     assert_verdict(name)
 
 

@@ -1,10 +1,15 @@
-"""Document round trips, canonical strings, parse errors."""
+"""Document round trips, canonical strings, parse errors, and the one
+report renderer."""
 
+import gc
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 
+import malg.cli
+import malg.formats
 from malg import (
     ArityMismatch,
     ExtRational,
@@ -16,10 +21,11 @@ from malg import (
     random_instance,
     rescale_space,
 )
-from malg.cli import _text
+from malg.cli import _text, main
 from malg.formats import (
     MAX_DISTANCE_DIGITS,
     dumps_canonical,
+    dumps_indented,
     map_to_obj,
     metric_space_to_obj,
     obj_to_map,
@@ -29,6 +35,8 @@ from malg.formats import (
     space_to_obj,
 )
 from malg.maps import UNBOUNDED, CompressionResult, compression
+
+from test_cli import PINNED_CASES
 
 
 def test_space_round_trip_is_bit_exact(s1):
@@ -192,3 +200,127 @@ def test_compression_serialization(phi):
         "compression": "0",
         "degenerate": True,
     }
+
+
+# --- the one report renderer ----------------------------------------------
+
+
+def _json_indent2(obj) -> str:
+    return json.dumps(obj, indent=2)
+
+
+def _outcome(render, obj):
+    """What render makes of obj: its text, or the type and message of the
+    exception it raises."""
+    try:
+        return render(obj)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.fixture
+def rendered(monkeypatch):
+    """The objects the CLI passes to dumps_indented, by either report
+    format, in call order."""
+    seen = []
+
+    def spy(obj):
+        seen.append(obj)
+        return dumps_indented(obj)
+
+    monkeypatch.setattr(malg.formats, "dumps_indented", spy)
+    monkeypatch.setattr(malg.cli, "dumps_indented", spy)
+    return seen
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("case", sorted(PINNED_CASES))
+def test_renderer_matches_json_on_pinned_reports(
+    capsys, pinned_documents, rendered, case, fmt
+):
+    argv, exit_code = PINNED_CASES[case]
+    assert main([*argv, "--format", fmt]) == exit_code
+    out = capsys.readouterr().out
+    [obj] = rendered  # each report is one call of the one renderer
+    assert dumps_indented(obj) == _json_indent2(obj)
+    if fmt == "json":
+        assert out == _json_indent2(obj) + "\n"
+    else:
+        assert out.endswith("\nresults:\n" + _json_indent2(obj) + "\n")
+
+
+def _cyclic_garbage(fn) -> list:
+    """Type names of the objects that only the cyclic collector frees
+    after fn() runs."""
+    gc.collect()
+    saved, flags = gc.garbage[:], gc.get_debug()
+    gc.garbage.clear()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        fn()
+        gc.collect()
+        return sorted(type(obj).__name__ for obj in gc.garbage)
+    finally:
+        gc.set_debug(flags)
+        gc.garbage[:] = saved
+
+
+def test_reference_report_renders_as_json_without_garbage(capsys, rendered):
+    assert main(["theorem-check", "--trials", "200", "--seed", "7"]) == 0
+    capsys.readouterr()
+    [report] = rendered
+    assert dumps_indented(report) == _json_indent2(report)
+    assert _cyclic_garbage(lambda: dumps_canonical(report)) == []
+
+    def cycle():
+        loop = []
+        loop.append(loop)
+
+    assert _cyclic_garbage(cycle) == ["list"]  # the probe sees a cycle
+
+
+LONG = 7 * 10**4999  # 5,000 digits: past the default int-to-str limit
+
+EDGE_CASES = [
+    {}, [], {"a": {}}, {"a": []}, [[]], [{}], [[], {}, [[]]], {"": {"": []}},
+    "", "plain", 'quote " backslash \\ slash /', "\x00\x1f\x7f\n\t\r\b\f",
+    "\u00e9 \u00fc \u0663 \u65e5\u672c", "\U0001f600", "\u2028\u2029",
+    "\udcff.json", {"\udcff": "\ud800x", "\u00e9": ["\U0001f600"]},
+    0, -1, 10**20, -(10**20), LONG, -LONG, [LONG], {"n": LONG},
+    True, False, None, [True, False, None, 0, "0", ""],
+    {"nested": {"list": [1, [2, [3, {}]]], "flag": True, "none": None}},
+]
+
+
+# explicit ids: pytest's own would print the 5,000-digit ints
+@pytest.mark.parametrize("obj", EDGE_CASES, ids=[str(i) for i in range(len(EDGE_CASES))])
+def test_renderer_matches_json_on_edge_cases(obj):
+    text = _outcome(dumps_indented, obj)
+    assert text == _outcome(_json_indent2, obj)
+    if isinstance(text, str):
+        assert dumps_canonical(obj) == text + "\n"
+
+
+def test_renderer_matches_json_on_long_ints():
+    # past the limit both raise the same ValueError (above); without it,
+    # both write every digit
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        pytest.skip("this Python has no int-to-str digit limit")
+    limit = sys.get_int_max_str_digits()
+    set_limit(0)
+    try:
+        for obj in (LONG, [-LONG], {"n": LONG}):
+            assert dumps_indented(obj) == _json_indent2(obj)
+    finally:
+        set_limit(limit)
+
+
+@pytest.mark.parametrize(
+    "obj", [0.5, [0.5], {"a": 0.5}, Fraction(1, 2), (1,), {1: "a"}, {"a": {None: 1}}]
+)
+def test_renderer_refuses_non_report_values(obj):
+    # no floats anywhere: a float, and any type a report never holds, is a
+    # TypeError, not a guess at its text
+    with pytest.raises(TypeError):
+        dumps_indented(obj)

@@ -343,7 +343,6 @@ def test_pushforward_measure_takes_one_ext_rational_per_target_atom(phi):
 NOT_VALIDATED = {
     "BruteForceReport": "report only: lipschitz_bruteforce builds it from its own checked values",
     "LawReport": "report only: check_hom_laws builds it from LawViolations, which validate",
-    "MorphismClassification": "report only: classify builds it from its own checked values",
 }
 
 
@@ -367,6 +366,13 @@ def _constructor_cases():
         "MeasurableMap": ((space, point, {"a": "x", "b": "x"}), {}),
         "MeasurableSet": ((space, 1), {}),
         "MeasureAlgebra": ((space,), {}),
+        "MorphismClassification": (
+            (
+                True, True, CompressionResult(Fraction(1, 2)), CompressionResult(Fraction(2)),
+                False, True, Fraction(2), Fraction(1, 2),
+            ),
+            {},
+        ),
         "PushforwardMeasure": ((point, (ExtRational(3),)), {1: [(0.5,)]}),
         "SplitMix64": ((7,), {}),
     }

@@ -308,6 +308,29 @@ def test_mutants_are_planted_by_the_registry_only():
                 assert name != "mutated", f"{path.name}:{node.lineno} calls mutated"
 
 
+def test_reports_have_one_renderer():
+    # formats.dumps_indented writes json.dumps(obj, indent=2)'s bytes for
+    # every report, so no call in malg passes an indent (json's indenting
+    # encoder is pure Python), and the json report and the text report's
+    # results block both call the one renderer
+    for name, tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                keywords = {k.arg for k in node.keywords}
+                assert "indent" not in keywords, (
+                    f"{name}:{node.lineno} passes indent to {ast.unparse(node.func)}"
+                )
+    trees = dict(_trees())
+    callers = (
+        ("formats.py", "dumps_canonical", "dumps_indented"),
+        ("cli.py", "render", "dumps_canonical"),
+        ("cli.py", "render", "dumps_indented"),
+    )
+    for module, caller, renderer in callers:
+        body = _functions(trees[module], {caller})[caller]
+        assert renderer in _called_names(body), f"{module} {caller} does not call {renderer}"
+
+
 def _raised_name(node) -> Optional[str]:
     exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
     return exc.id if isinstance(exc, ast.Name) else None
