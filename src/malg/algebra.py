@@ -47,20 +47,8 @@ class MeasureAlgebra:
         self._top = space._nonnull_mask
         self._fin = space._fin_mask
 
-    @property
-    def size(self) -> int:
-        return 1 << len(self.nonnull_atoms)
-
     def element(self, atom_ids: Iterable[int]) -> "AlgebraElement":
         return AlgebraElement(self, _mask(atom_ids))
-
-    @property
-    def zero(self) -> "AlgebraElement":
-        return AlgebraElement(self, 0)
-
-    @property
-    def top(self) -> "AlgebraElement":
-        return AlgebraElement(self, self._top)
 
     def all_elements(self) -> list["AlgebraElement"]:
         """Every element, in canonical order (lexicographic on sorted ids)."""
@@ -133,12 +121,6 @@ class L1Function:
         self.space = space
         self.coefficients = {i: to_fraction(coefficients[i]) for i in expected}
 
-    def scale(self, factor) -> "L1Function":
-        k = to_fraction(factor)
-        return L1Function(
-            self.space, {i: k * c for i, c in self.coefficients.items()}
-        )
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, L1Function):
             return NotImplemented
@@ -178,19 +160,6 @@ def rho(a: AlgebraElement, b: AlgebraElement) -> Fraction:
     if not is_fin(a) or not is_fin(b):
         raise NotInFinIdeal("rho is defined only on elements of finite measure")
     return mu_bar(diff).as_fraction()
-
-
-def rho_c(a: AlgebraElement, b: AlgebraElement, c: AlgebraElement) -> Fraction:
-    """Member of the generating pseudometric family: mass of (a ^ b) & c.
-
-    Defined for arbitrary a, b as long as c has finite measure; for each
-    fixed c this is a pseudometric, dominated by rho where rho is defined.
-    """
-    # the operators check the type and algebra of b, then of c
-    local = AlgebraElement._expect(a).symmdiff(b).meet(c)
-    if not is_fin(c):
-        raise NotInFinIdeal("the localizing element c must have finite measure")
-    return mu_bar(local).as_fraction()
 
 
 def chi_embed(elem: AlgebraElement) -> L1Function:

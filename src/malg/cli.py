@@ -98,8 +98,9 @@ def _error_entry(path: Optional[str], exc: Exception) -> dict:
 
 
 def _text(value) -> str:
-    """A number as report text. A ratio of two in-bound weights can pass
-    the int-to-str digit limit; that is an input error, not a crash."""
+    """A number as report text. A value derived from in-bound weights, a
+    ratio of two or a sum of many, can pass the int-to-str digit limit;
+    that is an input error, not a crash."""
     try:
         return str(value)
     except ValueError:

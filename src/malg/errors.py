@@ -5,10 +5,6 @@ class MalgError(Exception):
     """Base class for every error this package raises deliberately."""
 
 
-class ZeroDenominator(MalgError):
-    """An ExtRational built as ExtRational(p, 0)."""
-
-
 class DuplicatePoint(MalgError):
     """A point label occurs more than once."""
 
@@ -63,10 +59,6 @@ class BudgetExceeded(MalgError):
 
 class SpaceMismatch(MalgError):
     """Maps are not composable or spaces do not line up."""
-
-
-class NonPositiveFactor(MalgError):
-    """Rescaling factors must be strictly positive."""
 
 
 class MetricAxiomViolation(MalgError):

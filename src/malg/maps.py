@@ -431,12 +431,24 @@ class BruteForceReport:
     no witness. `pairs` counts the unordered pairs whose ratio was
     computed: 2^n (2^n - 1) / 2 for n non-null target atoms of finite
     weight, and 0 when none was. It takes no part in == and no report
-    renders it.
+    renders it. Each field is checked on construction: TypeError on a
+    wrong type, ValueError on a witness that is not a pair or a negative
+    count.
     """
 
     result: CompressionResult
     witness: Optional[tuple[AlgebraElement, AlgebraElement]]
     pairs: int = field(default=0, compare=False)
+
+    def __post_init__(self):
+        _require(self.result, CompressionResult, "a brute-force result")
+        if self.witness is not None:
+            if len(_require(self.witness, tuple, "a witness")) != 2:
+                raise ValueError(f"a witness is a pair, not {self.witness!r}")
+            for elem in self.witness:
+                _require(elem, AlgebraElement, "a witness element")
+        if _require(self.pairs, int, "a pair count") < 0:
+            raise ValueError(f"a pair count is never negative, got {self.pairs}")
 
     @property
     def attained_at_empty(self) -> Optional[bool]:
@@ -537,7 +549,13 @@ class LawViolation:
 
 @dataclass(frozen=True)
 class LawReport:
+    """The broken laws of one check, as a tuple of LawViolations."""
+
     violations: tuple[LawViolation, ...]
+
+    def __post_init__(self):
+        for violation in _require(self.violations, tuple, "a report's violations"):
+            _require(violation, LawViolation, "a law violation")
 
     @property
     def ok(self) -> bool:

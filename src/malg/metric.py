@@ -19,7 +19,6 @@ from .errors import (
     ArityMismatch,
     ForeignElement,
     MetricAxiomViolation,
-    NonPositiveFactor,
     NotInverseNilPreserving,
     SpaceMismatch,
     UnknownPoint,
@@ -118,17 +117,6 @@ def make_metric_space(points, weights, dist) -> FiniteMetricMeasureSpace:
     return FiniteMetricMeasureSpace(base, dist)
 
 
-def rescale_space(
-    mm: FiniteMetricMeasureSpace, factor
-) -> FiniteMetricMeasureSpace:
-    """Multiply every distance by a positive factor; measure untouched."""
-    k = to_fraction(factor)
-    if k <= 0:
-        raise NonPositiveFactor(f"rescaling factor must be positive, got {k}")
-    scaled = tuple(tuple(k * v for v in row) for row in mm.dist)
-    return FiniteMetricMeasureSpace(mm.base, scaled)
-
-
 def lipschitz_point(
     phi: MeasurableMap,
     source_metric: FiniteMetricMeasureSpace,
@@ -164,7 +152,7 @@ class MorphismClassification:
     reported only when the Lipschitz constant exceeds 1: scaling source
     distances by `rescale_source_to_short`, or target distances by
     `rescale_target_to_short`, yields constant exactly 1. Each field's
-    type is checked on construction.
+    type is checked on construction, and a rescale factor must be positive.
     """
 
     measurable: bool
@@ -191,6 +179,10 @@ class MorphismClassification:
             value = getattr(self, name)
             if value is not None:
                 _require(value, kind, name)
+        for name in ("rescale_source_to_short", "rescale_target_to_short"):
+            value = getattr(self, name)
+            if value is not None and value <= 0:
+                raise ValueError(f"{name} must be positive, got {value}")
 
 
 def classify(

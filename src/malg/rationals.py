@@ -10,7 +10,7 @@ from fractions import Fraction
 from functools import total_ordering
 from typing import Optional, Union
 
-from .errors import InvalidRational, NegativeWeight, ZeroDenominator
+from .errors import InvalidRational, NegativeWeight
 
 RationalLike = Union["ExtRational", Fraction, int, str]
 
@@ -88,15 +88,8 @@ class ExtRational:
 
     __slots__ = ("_frac",)
 
-    def __init__(self, value: RationalLike = 0, denominator: int | None = None):
-        if denominator is not None:
-            # Fraction checks the types before the zero, so a float on
-            # either side raises TypeError as at every other boundary
-            try:
-                frac = Fraction(value, denominator)
-            except ZeroDivisionError:
-                raise ZeroDenominator("denominator is zero") from None
-        elif isinstance(value, ExtRational):
+    def __init__(self, value: RationalLike = 0):
+        if isinstance(value, ExtRational):
             frac = value._frac
         elif isinstance(value, str):
             frac = parse_rational(value)

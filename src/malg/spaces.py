@@ -16,7 +16,6 @@ from .errors import (
     ArityMismatch,
     DuplicatePoint,
     ForeignSet,
-    NotMeasurable,
     PartitionGap,
     PartitionOverlap,
     UnknownPoint,
@@ -172,12 +171,6 @@ class FiniteMeasureSpace:
     def is_sigma_finite(self) -> bool:
         return self._fin_mask == self._nonnull_mask
 
-    def empty_set(self) -> "MeasurableSet":
-        return MeasurableSet(self, 0)
-
-    def full_set(self) -> "MeasurableSet":
-        return MeasurableSet(self, self._top)
-
     def atom_set(self, atom_ids: Iterable[int]) -> "MeasurableSet":
         return MeasurableSet(self, _mask(atom_ids))
 
@@ -269,9 +262,6 @@ class MeasurableSet(_AtomMask):
     intersection = _AtomMask.__and__
     symmetric_difference = _AtomMask.__xor__
 
-    def member_points(self) -> frozenset[str]:
-        return frozenset(p for i in _ids(self.mask) for p in self.space.atoms[i])
-
     def __repr__(self) -> str:
         return f"MeasurableSet(atoms={list(_ids(self.mask))})"
 
@@ -289,31 +279,4 @@ def make_space(points: Sequence[str], partition, weights) -> FiniteMeasureSpace:
     or ArityMismatch on a malformed partition or weight count.
     """
     return FiniteMeasureSpace(points, partition, weights)
-
-
-def measure(space: FiniteMeasureSpace, mset: MeasurableSet) -> ExtRational:
-    """Sum of the weights of the set's atoms; the empty set measures 0."""
-    if MeasurableSet._expect(mset).space != space:
-        raise ForeignSet("set belongs to a different space")
-    return _weighted_sum(space.weights, mset.mask)
-
-
-def is_measurable(space: FiniteMeasureSpace, point_set: Iterable[str]) -> bool:
-    """True iff the point set is a union of atoms."""
-    wanted = set(point_set)
-    hit = _mask(space.atom_of(p) for p in wanted)
-    # every wanted point lies in a hit atom, so equal sizes mean equal sets
-    return sum(len(space.atoms[i]) for i in _ids(hit)) == len(wanted)
-
-
-def set_from_points(space: FiniteMeasureSpace, point_set: Iterable[str]) -> MeasurableSet:
-    """The measurable set with exactly these points, if one exists."""
-    wanted = set(point_set)
-    if not is_measurable(space, wanted):
-        raise NotMeasurable(f"point set {sorted(wanted)} splits an atom")
-    return MeasurableSet(space, _mask(space.atom_of(p) for p in wanted))
-
-
-def is_null(space: FiniteMeasureSpace, mset: MeasurableSet) -> bool:
-    return measure(space, mset).is_zero
 

@@ -14,10 +14,9 @@ from malg import (
     make_map,
     make_metric_space,
     make_space,
-    random_space,
-    trial_rng,
 )
 from malg.formats import dumps_canonical, map_to_obj, space_to_obj
+from malg.instances import random_space, trial_rng
 
 FIXTURE_SEED = 404
 

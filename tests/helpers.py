@@ -245,7 +245,7 @@ def pair_scan_hom_laws(hom: BooleanHom) -> LawReport:
     """check_hom_laws as it was before its join and meet certificates:
     joins and meets are checked on every ordered pair of domain elements."""
     image = {a.mask: hom.apply(a).mask for a in hom.domain.all_elements()}
-    top, image_top = hom.domain.top.mask, hom.codomain.top.mask
+    top, image_top = hom.domain._top, hom.codomain._top
     found: list[tuple[str, dict[str, int]]] = []  # law, witness masks
 
     if image[0]:

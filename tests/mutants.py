@@ -180,7 +180,7 @@ def _faulty_tables(rng, domain, codomain):
     one other element replaced."""
     elements = [e.mask for e in domain.all_elements()]
     atoms = domain.nonnull_atoms
-    top, codomain_top = domain.top.mask, codomain.top.mask
+    top, codomain_top = domain._top, codomain._top
 
     def arbitrary():
         return rng.getrandbits(codomain_top.bit_length()) & codomain_top

@@ -19,7 +19,7 @@ from malg.formats import (
     space_to_obj,
 )
 
-from helpers import python_child_output
+from helpers import primes_from, python_child_output
 from mutants import (
     CLASSIFY,
     FUNCTOR,
@@ -242,6 +242,33 @@ def test_result_too_long_to_print_exits_2(capsys, tmp_path):
         assert code == 2
         assert report["results"]["error"] == "InvalidDocument"
         assert report["results"]["file"] == str(path)
+
+
+def test_sum_too_long_to_print_exits_2(tmp_path):
+    # not only a ratio: 2,000 weights 1/p, each of a few digits, sum on one
+    # target atom to a value whose denominator, the product of the first
+    # 2,000 primes, has over 7,000 digits
+    primes = primes_from(2, 2000)
+    points = [f"p{i}" for i in range(len(primes))]
+    doc = {
+        "source": {
+            "points": points,
+            "atoms": [[p] for p in points],
+            "weights": [f"1/{q}" for q in primes],
+        },
+        "target": {"points": ["q"], "atoms": [["q"]], "weights": ["1"]},
+        "fn": dict.fromkeys(points, "q"),
+    }
+    path = tmp_path / "sum.json"
+    path.write_text(json.dumps(doc))
+    for command in ("classify", "theorem-check"):
+        out = python_child_output(
+            ["-m", "malg", command, str(path)], timeout=30, exit_code=2
+        )
+        entry = json.loads(out)["results"]
+        assert entry["error"] == "InvalidDocument"
+        assert entry["detail"] == "a result is too long to print"
+        assert entry["file"] == str(path)
 
 
 def test_validate_missing_file(capsys, tmp_path):

@@ -13,13 +13,13 @@ import malg.formats
 from malg import (
     ArityMismatch,
     ExtRational,
+    FiniteMetricMeasureSpace,
     InvalidDocument,
     PartitionOverlap,
     make_map,
     make_metric_space,
     make_space,
     random_instance,
-    rescale_space,
 )
 from malg.cli import _text, main
 from malg.formats import (
@@ -123,13 +123,18 @@ def test_metric_writer_keeps_the_digit_cap():
     # a space the library builds may exceed the cap; writing it is refused,
     # so every metric document malg writes reads back
     mm = make_metric_space(["a", "b", "c"], [1, 1, 1], [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
-    at_cap = rescale_space(mm, "1/" + "9" * MAX_DISTANCE_DIGITS)
+
+    def rescaled(factor):
+        k = Fraction(factor)
+        return FiniteMetricMeasureSpace(mm.base, [[k * d for d in row] for row in mm.dist])
+
+    at_cap = rescaled("1/" + "9" * MAX_DISTANCE_DIGITS)
     assert obj_to_metric_space(metric_space_to_obj(at_cap)).dist == at_cap.dist
-    over = rescale_space(mm, "1/1" + "0" * MAX_DISTANCE_DIGITS)
+    over = rescaled("1/1" + "0" * MAX_DISTANCE_DIGITS)
     with pytest.raises(InvalidDocument, match=rf"dist\[0\]: .* {MAX_DISTANCE_DIGITS} digits"):
         metric_space_to_obj(over)
     # d(a, b) * 5e17 has 18 digits, d(a, c) * 5e17 = 1e18 has 19
-    longer = rescale_space(mm, "5" + "0" * (MAX_DISTANCE_DIGITS - 1))
+    longer = rescaled("5" + "0" * (MAX_DISTANCE_DIGITS - 1))
     with pytest.raises(InvalidDocument, match=r"dist\[1\]: "):
         metric_space_to_obj(longer)
 

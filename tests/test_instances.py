@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-from malg import (
+from malg.instances import (
     SplitMix64,
     random_composable_pair,
     random_instance,

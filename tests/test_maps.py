@@ -4,6 +4,7 @@ import inspect
 import random
 import time
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -12,12 +13,18 @@ import malg.maps
 from malg import (
     INF,
     UNBOUNDED,
+    AlgebraElement,
     BooleanHom,
+    BruteForceReport,
     BudgetExceeded,
     CompressionResult,
     ExtRational,
     ForeignElement,
+    LawReport,
+    LawViolation,
     MeasurableMap,
+    MeasurableSet,
+    MorphismClassification,
     NotInverseNilPreserving,
     NotMeasurable,
     PushforwardMeasure,
@@ -34,8 +41,9 @@ from malg import (
     lipschitz_fast,
     make_map,
     make_space,
-    measure,
+    mu_bar,
     null_ideal_preserved,
+    project,
     pushforward,
     random_instance,
 )
@@ -139,7 +147,7 @@ def test_constructor_derives_preimages_from_points():
 
 
 def test_pushforward_examples(phi, s2, s3_to_q1):
-    assert pushforward(phi).masses == (ExtRational(5, 6), ExtRational(0))
+    assert pushforward(phi).masses == (Fraction(5, 6), 0)
     ident = identity_map(s2)
     assert pushforward(ident).masses == s2.weights
     # constant map: total mass lands on one Dirac atom
@@ -186,10 +194,10 @@ def test_well_definedness(phi, psi, s2):
 def test_well_definedness_witness_values(psi, s1, s2):
     # the defining failure: {p4} is null but its preimage carries mass 1
     null_set = s1.atom_set([2])
-    assert measure(s1, null_set).is_zero
-    pre = {q for q in s2.points if psi.point_fn[q] in null_set.member_points()}
+    assert mu_bar(project(build_algebra(s1), null_set)).is_zero
+    pre = {q for q in s2.points if psi.point_fn[q] in s1.atoms[2]}
     assert pre == {"q1"}
-    assert measure(s2, s2.atom_set([0])) == ExtRational(1)
+    assert mu_bar(project(build_algebra(s2), s2.atom_set([0]))) == ExtRational(1)
 
 
 def test_functor_path_matches_reference():
@@ -249,7 +257,7 @@ def test_induced_homomorphism(phi, s2):
     hom = induced_homomorphism(phi)
     dom = hom.domain
     assert hom.apply(dom.element((0,))) == hom.codomain.element((0, 1))
-    assert hom.apply(dom.element((1,))) == hom.codomain.zero
+    assert hom.apply(dom.element((1,))) == hom.codomain.element(())
     ident_hom = induced_homomorphism(identity_map(s2))
     for e in ident_hom.domain.all_elements():
         assert ident_hom.apply(e) == e
@@ -264,9 +272,9 @@ def test_hom_apply(phi):
     hom = induced_homomorphism(phi)
     dom = hom.domain
     assert hom.apply(dom.element((0, 1))) == hom.codomain.element((0, 1))
-    assert hom.apply(dom.zero) == hom.codomain.zero
+    assert hom.apply(dom.element(())) == hom.codomain.element(())
     with pytest.raises(ForeignElement):
-        hom.apply(hom.codomain.zero)
+        hom.apply(hom.codomain.element(()))
 
 
 def test_boolean_hom_rejects_bad_masks(phi):
@@ -329,7 +337,7 @@ def test_bounded_rejects_negative_values():
 
 def test_pushforward_measure_takes_one_ext_rational_per_target_atom(phi):
     target = phi.target
-    assert PushforwardMeasure(target, [ExtRational(5, 6), ExtRational(0)]) == pushforward(phi)
+    assert PushforwardMeasure(target, [ExtRational("5/6"), ExtRational(0)]) == pushforward(phi)
     for masses in ((0.5, ExtRational(0)), (Fraction(5, 6), ExtRational(0)), (1, 0)):
         with pytest.raises(TypeError, match="pushforward mass"):
             PushforwardMeasure(target, masses)
@@ -338,30 +346,28 @@ def test_pushforward_measure_takes_one_ext_rational_per_target_atom(phi):
             PushforwardMeasure(target, masses)
 
 
-# Classes of malg.__all__ whose constructors need not refuse a float, each
-# with the reason; every other public class must.
-NOT_VALIDATED = {
-    "BruteForceReport": "report only: lipschitz_bruteforce builds it from its own checked values",
-    "LawReport": "report only: check_hom_laws builds it from LawViolations, which validate",
-}
-
-
 def _constructor_cases():
-    """For each validating public class: valid arguments, and for some
-    argument positions float-bearing values besides a bare float."""
+    """For each public class: valid arguments, and for some argument
+    positions float-bearing values besides a bare float."""
     space = make_space(["a", "b"], [["a"], ["b"]], [1, 2])
     point = make_space(["x"], [["x"]], [1])
     algebra, point_algebra = build_algebra(space), build_algebra(point)
+    pair = (AlgebraElement(algebra, 1), AlgebraElement(algebra, 0))
+    violation = LawViolation("preserves-zero", {"got": [0]})
     return {
         "AlgebraElement": ((algebra, 1), {}),
         "BooleanHom": ((point_algebra, algebra, {0: 3}), {2: [{0: 0.5}]}),
+        "BruteForceReport": (
+            (CompressionResult(Fraction(1, 2)), pair, 3), {1: [(0.5, pair[1])]},
+        ),
         "CompressionResult": ((Fraction(1, 2),), {}),
-        "ExtRational": ((1, 2), {}),
+        "ExtRational": ((Fraction(1, 2),), {}),
         "FiniteMeasureSpace": ((["a"], [["a"]], [1]), {2: [[0.5]]}),
         "FiniteMetricMeasureSpace": (
             (space, [[0, 1], [1, 0]]), {1: [[[0, 0.5], [0.5, 0]]]},
         ),
         "L1Function": ((space, {0: 1, 1: 2}), {1: [{0: 0.5, 1: 2}]}),
+        "LawReport": (((violation,),), {0: [(violation, 0.5)]}),
         "LawViolation": (("preserves-zero", {"got": [0]}), {}),
         "MeasurableMap": ((space, point, {"a": "x", "b": "x"}), {}),
         "MeasurableSet": ((space, 1), {}),
@@ -374,7 +380,6 @@ def _constructor_cases():
             {},
         ),
         "PushforwardMeasure": ((point, (ExtRational(3),)), {1: [(0.5,)]}),
-        "SplitMix64": ((7,), {}),
     }
 
 
@@ -388,8 +393,7 @@ def test_public_constructors_refuse_floats():
         and not issubclass(getattr(malg, name), BaseException)
     }
     cases = _constructor_cases()
-    assert public == cases.keys() | NOT_VALIDATED.keys()
-    assert not cases.keys() & NOT_VALIDATED.keys()
+    assert public == cases.keys()
     for name, (args, float_bearing) in cases.items():
         cls = getattr(malg, name)
         assert len(inspect.signature(cls).parameters) == len(args), name
@@ -399,6 +403,48 @@ def test_public_constructors_refuse_floats():
                 with pytest.raises((TypeError, ValueError)):
                     cls(*args[:i], bad, *args[i + 1:])
                     pytest.fail(f"{name} accepted {bad!r} as argument {i}")
+
+
+def test_public_constructors_refuse_negatives():
+    # -1 where a count, a mask or a constant cannot be negative: a negative
+    # mask has infinitely many bits, and no weight, constant, pair count or
+    # rescale factor below zero means anything; a factor of 0 neither
+    space = make_space(["a"], [["a"]], [1])
+    algebra = build_algebra(space)
+    one = CompressionResult(Fraction(1))
+    cases = {
+        "ExtRational": lambda: ExtRational(-1),
+        "CompressionResult": lambda: CompressionResult(Fraction(-1)),
+        "MeasurableSet": lambda: MeasurableSet(space, -1),
+        "AlgebraElement": lambda: AlgebraElement(algebra, -1),
+        "BooleanHom": lambda: BooleanHom(algebra, algebra, {0: -1}),
+        "BruteForceReport": lambda: BruteForceReport(one, None, -1),
+    }
+    for factor in (Fraction(-2), Fraction(0)):
+        for field_name in ("rescale_source_to_short", "rescale_target_to_short"):
+            cases[f"MorphismClassification {field_name}={factor}"] = partial(
+                MorphismClassification, True, True, one, **{field_name: factor}
+            )
+    for name, build in cases.items():
+        with pytest.raises(ValueError):
+            build()
+            pytest.fail(f"{name} accepted a negative")
+
+
+def test_report_records_check_their_fields():
+    space = make_space(["a"], [["a"]], [1])
+    elem = AlgebraElement(build_algebra(space), 1)
+    one = CompressionResult(Fraction(1))
+    for args in ((Fraction(1), None), (one, [elem, elem]), (one, (elem, 1)), (one, None, "3")):
+        with pytest.raises(TypeError):
+            BruteForceReport(*args)
+    with pytest.raises(ValueError, match="pair"):
+        BruteForceReport(one, (elem,))
+    assert BruteForceReport(one, (elem, elem), 0).pairs == 0
+    for violations in (["x"], ("x",), [LawViolation("preserves-zero", {})]):
+        with pytest.raises(TypeError):
+            LawReport(violations)
+    assert LawReport(()).ok
 
 
 def test_compression_constant_maps(s3_to_q1, s3):
@@ -575,6 +621,7 @@ def test_preimage_symmdiff_identity(phi, psi):
     maps = [phi, psi] + [random_instance(18, i) for i in range(20)]
     for m in maps:
         push = pushforward(m)
+        src_alg = build_algebra(m.source)
         n = m.target.n_atoms
         pre = [frozenset(block) for block in m.atom_preimages]
         for amask in range(1 << n):
@@ -589,7 +636,7 @@ def test_preimage_symmdiff_identity(phi, psi):
                         b_pre = b_pre | pre[b]
                     if (amask ^ bmask) >> b & 1:
                         mass_sym = mass_sym + push.masses[b]
-                lhs = measure(m.source, m.source.atom_set(a_pre ^ b_pre))
+                lhs = mu_bar(project(src_alg, m.source.atom_set(a_pre ^ b_pre)))
                 assert lhs == mass_sym
 
 
@@ -688,7 +735,7 @@ def _assert_matches_pair_scan(hom) -> set[str]:
     reference = pair_scan_hom_laws(hom)
     assert _report_items(report) == _report_items(reference)
     image = {e.mask: hom.apply(e).mask for e in hom.domain.all_elements()}
-    top, codomain_top = hom.domain.top.mask, hom.codomain.top.mask
+    top, codomain_top = hom.domain._top, hom.codomain._top
     complements = all(image[a ^ top] == image[a] ^ codomain_top for a in image)
     joins = _joins_certified(image)
     laws = {v.law for v in reference.violations}
@@ -765,7 +812,7 @@ def test_compose_and_identity_laws(phi, s1, s2):
 def test_compose_permutes_pushforward(phi, s2):
     swap = make_map(s2, s2, {"q1": "q2", "q2": "q1"})
     composed = compose(swap, phi)
-    assert pushforward(composed).masses == (ExtRational(0), ExtRational(5, 6))
+    assert pushforward(composed).masses == (0, Fraction(5, 6))
 
 
 def test_fin_ideal_preserved_when_bounded():

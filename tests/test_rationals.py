@@ -11,7 +11,6 @@ from malg import (
     InvalidRational,
     MalgError,
     NegativeWeight,
-    ZeroDenominator,
     make_space,
 )
 from malg.rationals import parse_rational, to_fraction
@@ -20,14 +19,14 @@ from helpers import general_parse_rational
 
 
 def test_lowest_terms():
-    x = ExtRational(6, 8)
+    x = ExtRational("6/8")
     assert x.as_fraction().numerator == 3
     assert x.as_fraction().denominator == 4
     assert ExtRational("10/4") == ExtRational(Fraction(5, 2))
 
 
 def test_integer_and_string_forms():
-    assert str(ExtRational(3, 1)) == "3"
+    assert str(ExtRational(3)) == "3"
     assert str(ExtRational(Fraction(5, 6))) == "5/6"
     assert str(ExtRational(0)) == "0"
     assert str(INF) == "inf"
@@ -109,29 +108,17 @@ def test_to_fraction_types():
         ExtRational(0.5)
 
 
-def test_zero_denominator_at_construction():
-    with pytest.raises(ZeroDenominator, match="denominator is zero"):
-        ExtRational(1, 0)
-
-
-@pytest.mark.parametrize("value, denominator", [(1, 0.0), (1.5, 0), (1, 2.0)])
-def test_float_with_denominator_is_a_type_error(value, denominator):
-    # the types are checked before the zero: a float is never a MalgError
-    with pytest.raises(TypeError):
-        ExtRational(value, denominator)
-
-
 def test_addition():
-    assert ExtRational(1, 2) + ExtRational(1, 3) == ExtRational(5, 6)
+    assert ExtRational("1/2") + ExtRational("1/3") == ExtRational("5/6")
     assert ExtRational(7) + INF == INF
     assert INF + INF == INF
     assert sum([ExtRational(1), ExtRational(2)], ExtRational(0)) == ExtRational(3)
     # sum() starts from int 0
-    assert sum([ExtRational(1, 2), ExtRational(1, 2)]) == ExtRational(1)
+    assert sum([ExtRational("1/2"), ExtRational("1/2")]) == ExtRational(1)
 
 
 def test_multiplication_conventions():
-    assert ExtRational(2, 3) * ExtRational(3, 4) == ExtRational(1, 2)
+    assert ExtRational("2/3") * ExtRational("3/4") == ExtRational("1/2")
     assert ExtRational(0) * INF == ExtRational(0)
     assert INF * ExtRational(0) == ExtRational(0)
     assert ExtRational(5) * INF == INF
@@ -148,25 +135,25 @@ def test_no_division():
 
 
 def test_total_order():
-    vals = [INF, ExtRational(1, 2), ExtRational(0), ExtRational(3)]
-    assert sorted(vals) == [ExtRational(0), ExtRational(1, 2), ExtRational(3), INF]
+    vals = [INF, ExtRational("1/2"), ExtRational(0), ExtRational(3)]
+    assert sorted(vals) == [ExtRational(0), ExtRational("1/2"), ExtRational(3), INF]
     assert all(v < INF for v in vals[1:])
     assert INF <= INF
     assert not INF < INF
     assert ExtRational(2) >= 2
-    assert ExtRational(1, 2) > Fraction(1, 3)
+    assert ExtRational("1/2") > Fraction(1, 3)
 
 
 def test_hash_matches_equality():
     assert hash(ExtRational(3)) == hash(3)
-    assert hash(ExtRational(1, 2)) == hash(Fraction(1, 2))
-    d = {ExtRational(1, 2): "half", INF: "top"}
-    assert d[ExtRational(2, 4)] == "half"
+    assert hash(ExtRational("1/2")) == hash(Fraction(1, 2))
+    d = {ExtRational("1/2"): "half", INF: "top"}
+    assert d[ExtRational("2/4")] == "half"
     assert d[ExtRational.infinity()] == "top"
 
 
 def test_as_fraction():
-    assert ExtRational(5, 6).as_fraction() == Fraction(5, 6)
+    assert ExtRational("5/6").as_fraction() == Fraction(5, 6)
     with pytest.raises(ValueError):
         INF.as_fraction()
 
@@ -174,7 +161,7 @@ def test_as_fraction():
 def test_is_flags():
     assert INF.is_infinite and not INF.is_zero
     assert ExtRational(0).is_zero and not ExtRational(0).is_infinite
-    assert not ExtRational(1, 7).is_zero
+    assert not ExtRational("1/7").is_zero
 
 
 def grid():

@@ -1,8 +1,10 @@
 """Source rules the README promises: stdlib-only imports and no floats;
-plus one export list that matches what the package imports, and no
-import left unused."""
+plus one export list that matches what the package imports, no import
+left unused, no export without a caller, and sources that parse at the
+declared Python floor."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 from typing import Optional
@@ -361,3 +363,112 @@ def test_one_weight_coercion():
     assert len(sign_rules) == 1 and sign_rules[0].startswith("rationals.py:"), (
         f"NegativeWeight is raised at {sign_rules}"
     )
+
+
+# Names of malg.__all__ kept with no caller, each with the reason it stays.
+UNCALLED_EXPORTS: dict[str, str] = {}
+
+
+def _bound_names(func) -> set[str]:
+    """Every name a function or lambda binds: its parameters, and each name
+    stored or deleted in its body, nested scopes included."""
+    args = func.args
+    params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+    return {a.arg for a in params if a is not None} | {
+        node.id for node in ast.walk(func)
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load)
+    }
+
+
+def _global_reads(node, shadowed=frozenset()):
+    """Each name read under `node` that can only be a module global: read
+    in no function that binds it, and outside a def or class of that name."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        shadowed = shadowed | {node.name}
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        shadowed = shadowed | _bound_names(node)
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        if node.id not in shadowed:
+            yield node.id
+    for child in ast.iter_child_nodes(node):
+        yield from _global_reads(child, shadowed)
+
+
+def _imported_names(tree) -> set[str]:
+    return {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("malg"))
+        for alias in node.names
+    }
+
+
+def _module_attributes(tree) -> set[str]:
+    """Attributes read off the malg package: `malg.name`, `self.malg.name`,
+    or `m.name` after `m = self.malg`."""
+
+    def is_package(expr) -> bool:
+        return (isinstance(expr, ast.Name) and expr.id in aliases) or (
+            isinstance(expr, ast.Attribute) and expr.attr == "malg"
+        )
+
+    aliases = {"malg"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and is_package(node.value):
+            aliases |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+    return {
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and is_package(node.value)
+    }
+
+
+def _bench_string_names(tree) -> set[str]:
+    """Names the benchmark looks up by string: the second item of each
+    ("malg.module", "name") pair, such as the tracer's SPANS, and each
+    name in a tuple that a for loop passes to getattr."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Tuple) and len(node.elts) == 2:
+            module, name = node.elts
+            if all(isinstance(e, ast.Constant) and isinstance(e.value, str) for e in node.elts):
+                if module.value.startswith("malg"):
+                    names.add(name.value)
+        if isinstance(node, ast.For) and isinstance(node.iter, ast.Tuple):
+            looked_up = any(
+                isinstance(call, ast.Call) and ast.unparse(call.func) == "getattr"
+                and ast.unparse(call.args[-1]) == ast.unparse(node.target)
+                for call in ast.walk(node)
+            )
+            if looked_up:
+                names |= {e.value for e in node.iter.elts if isinstance(e, ast.Constant)}
+    return names
+
+
+def test_public_names_have_callers():
+    # each exported name is used by the library itself, by an acceptance
+    # criterion or by the benchmark, not by its own unit tests alone. A
+    # bare name counts only where it cannot be a local variable: the
+    # benchmark's tracer, for one, binds a local called `measure`
+    called = set()
+    for name, tree in _trees():
+        if name != "__init__.py":
+            called |= _imported_names(tree) | set(_global_reads(tree))
+    acceptance = _parsed(TESTS / "test_acceptance.py")
+    called |= _imported_names(acceptance) | _module_attributes(acceptance)
+    for path in sorted((TESTS.parent / "bench").glob("*.py")):
+        tree = _parsed(path)
+        called |= _module_attributes(tree) | _bench_string_names(tree)
+    for name, reason in UNCALLED_EXPORTS.items():
+        assert name in malg.__all__ and name not in called and reason, name
+    uncalled = set(malg.__all__) - called - UNCALLED_EXPORTS.keys()
+    assert not uncalled, f"exported with no caller: {sorted(uncalled)}"
+
+
+def test_sources_parse_at_the_declared_python_floor():
+    # pyproject.toml declares the oldest Python malg runs on; the tests run
+    # on one newer Python, so each module is parsed with that floor's grammar
+    text = (TESTS.parent / "pyproject.toml").read_text()
+    floor = re.search(r'^requires-python = ">=3\.(\d+)"$', text, re.MULTILINE)
+    assert floor, "pyproject.toml declares no requires-python floor"
+    for path in SOURCES:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, int(floor[1])))

@@ -11,17 +11,25 @@ from malg import (
     ExtRational,
     ForeignSet,
     InvalidRational,
+    MeasurableSet,
     NegativeWeight,
-    NotMeasurable,
     PartitionGap,
     PartitionOverlap,
     UnknownPoint,
-    is_measurable,
-    is_null,
+    build_algebra,
     make_space,
-    measure,
-    set_from_points,
+    mu_bar,
+    project,
 )
+
+
+def measure(space, mset):
+    """A set's measure: null atoms weigh 0, so it is that of its class."""
+    return mu_bar(project(build_algebra(space), mset))
+
+
+def is_null(space, mset):
+    return measure(space, mset).is_zero
 
 
 def test_minimal_space(s2):
@@ -93,7 +101,8 @@ def test_measure_examples(s1):
     expected = Fraction(1, 2) + Fraction(1, 3)
     assert expected == Fraction(5, 6)
     assert measure(s1, s1.atom_set([0, 1])) == ExtRational(expected)
-    assert measure(s1, s1.empty_set()) == ExtRational(0)
+    assert measure(s1, s1.atom_set([0, 1, 2])) == ExtRational(expected)
+    assert measure(s1, s1.atom_set([])) == ExtRational(0)
 
 
 def test_measure_infinite_atom():
@@ -107,33 +116,19 @@ def test_measure_foreign_set(s1, s2):
         measure(s1, s2.atom_set([0]))
 
 
-def test_is_measurable(s1):
-    assert is_measurable(s1, {"p1", "p2", "p3"})
-    assert not is_measurable(s1, {"p1"})
-    assert is_measurable(s1, set())
-    with pytest.raises(UnknownPoint):
-        is_measurable(s1, {"nope"})
-
-
-def test_set_from_points(s1):
-    got = set_from_points(s1, {"p1", "p2", "p4"})
-    assert got.atom_ids == frozenset({0, 2})
-    with pytest.raises(NotMeasurable):
-        set_from_points(s1, {"p1"})
-
-
 def test_set_operations(s1):
+    empty, full = MeasurableSet(s1, 0), MeasurableSet(s1, 0b111)
     a = s1.atom_set([0])
     b = s1.atom_set([1])
     ab = s1.atom_set([0, 1])
     bc = s1.atom_set([1, 2])
-    assert a.symmetric_difference(a) == s1.empty_set()
-    assert a.symmetric_difference(s1.empty_set()) == a
+    assert a.symmetric_difference(a) == empty
+    assert a.symmetric_difference(empty) == a
     assert ab.intersection(bc) == b
     assert a.union(b) == ab
     assert ab.complement() == s1.atom_set([2])
-    assert (a | b) == ab and (ab & bc) == b and (a ^ a) == s1.empty_set()
-    assert ~s1.empty_set() == s1.full_set()
+    assert (a | b) == ab and (ab & bc) == b and (a ^ a) == empty
+    assert ~empty == full
     with pytest.raises(ForeignSet):
         a.union(make_space(["z"], [["z"]], [1]).atom_set([0]))
 
@@ -141,7 +136,7 @@ def test_set_operations(s1):
 def test_is_null(s1):
     assert is_null(s1, s1.atom_set([2]))
     assert not is_null(s1, s1.atom_set([0]))
-    assert is_null(s1, s1.empty_set())
+    assert is_null(s1, s1.atom_set([]))
 
 
 def all_sets(space):
