@@ -88,12 +88,6 @@ class MeasurableMap:
         """The source atoms mapped into each target atom, ascending."""
         return tuple(map(_ids, self._preimage_masks))
 
-    def __call__(self, point: str) -> str:
-        try:
-            return self.point_fn[point]
-        except KeyError:
-            raise UnknownPoint(f"unknown point {point!r}") from None
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, MeasurableMap):
             return NotImplemented

@@ -147,42 +147,49 @@ def lipschitz_point(
 class MorphismClassification:
     """Everything classify() decides about one map.
 
-    Metric-dependent fields are None when no metric structure was given.
-    The rescale factors are guidance for making the map short and are
-    reported only when the Lipschitz constant exceeds 1: scaling source
-    distances by `rescale_source_to_short`, or target distances by
-    `rescale_target_to_short`, yields constant exactly 1. Each field's
-    type is checked on construction, and a rescale factor must be positive.
+    The record holds what classify measures; every verdict is derived
+    from the two constants, since bounded deformation is Lipschitz plus
+    bounded compression. Metric-dependent verdicts are None when no
+    Lipschitz constant was given. The rescale factors are guidance for
+    making the map short and are given only when the Lipschitz constant
+    exceeds 1: scaling source distances by `rescale_source_to_short`, or
+    target distances by `rescale_target_to_short`, yields constant
+    exactly 1. Each field's type is checked on construction, and a given
+    Lipschitz constant must be bounded, as it is on finite spaces.
     """
 
-    measurable: bool
     inverse_nil_preserving: bool
     compression: CompressionResult
     lipschitz_point: Optional[CompressionResult] = None
-    short: Optional[bool] = None
-    bounded_deformation: Optional[bool] = None
-    rescale_source_to_short: Optional[Fraction] = None
-    rescale_target_to_short: Optional[Fraction] = None
+
+    # a MeasurableMap cannot be built unless it is measurable
+    measurable = True
 
     def __post_init__(self):
-        _require(self.measurable, bool, "measurable")
         _require(self.inverse_nil_preserving, bool, "inverse_nil_preserving")
         _require(self.compression, CompressionResult, "compression")
-        optional = (
-            ("lipschitz_point", CompressionResult),
-            ("short", bool),
-            ("bounded_deformation", bool),
-            ("rescale_source_to_short", Fraction),
-            ("rescale_target_to_short", Fraction),
-        )
-        for name, kind in optional:
-            value = getattr(self, name)
-            if value is not None:
-                _require(value, kind, name)
-        for name in ("rescale_source_to_short", "rescale_target_to_short"):
-            value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ValueError(f"{name} must be positive, got {value}")
+        if self.lipschitz_point is not None:
+            lip = _require(self.lipschitz_point, CompressionResult, "lipschitz_point")
+            if not lip.is_bounded:
+                raise ValueError("lipschitz_point is bounded on finite spaces")
+
+    @property
+    def short(self) -> Optional[bool]:
+        lip = self.lipschitz_point
+        return None if lip is None else lip.value <= 1
+
+    @property
+    def bounded_deformation(self) -> Optional[bool]:
+        lip = self.lipschitz_point
+        return None if lip is None else lip.is_bounded and self.compression.is_bounded
+
+    @property
+    def rescale_source_to_short(self) -> Optional[Fraction]:
+        return self.lipschitz_point.value if self.short is False else None
+
+    @property
+    def rescale_target_to_short(self) -> Optional[Fraction]:
+        return 1 / self.lipschitz_point.value if self.short is False else None
 
 
 def classify(
@@ -190,25 +197,13 @@ def classify(
     source_metric: Optional[FiniteMetricMeasureSpace] = None,
     target_metric: Optional[FiniteMetricMeasureSpace] = None,
 ) -> MorphismClassification:
-    """Fill every classification field the available structure supports."""
-    comp = compression(phi)
-    inp = is_inverse_nil_preserving(phi)
-    if source_metric is None or target_metric is None:
-        return MorphismClassification(
-            measurable=True, inverse_nil_preserving=inp, compression=comp
-        )
-    lip = lipschitz_point(phi, source_metric, target_metric)
-    needs_rescale = lip.value > 1
-    return MorphismClassification(
-        measurable=True,
-        inverse_nil_preserving=inp,
-        compression=comp,
-        lipschitz_point=lip,
-        short=lip.value <= 1,
-        bounded_deformation=lip.is_bounded and comp.is_bounded,
-        rescale_source_to_short=lip.value if needs_rescale else None,
-        rescale_target_to_short=1 / lip.value if needs_rescale else None,
-    )
+    """Measure what the available structure supports: inverse-nil-
+    preservation and compression always, the pointwise Lipschitz constant
+    when both metrics are given. The record derives every verdict."""
+    lip = None
+    if source_metric is not None and target_metric is not None:
+        lip = lipschitz_point(phi, source_metric, target_metric)
+    return MorphismClassification(is_inverse_nil_preserving(phi), compression(phi), lip)
 
 
 def composition_law_violations(

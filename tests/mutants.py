@@ -508,6 +508,16 @@ MUTANTS = {
     "identity-atom-shifted": Mutant(
         malg.metric, "identity_law_violations", "1 << b", "2 << b", FUNCTOR
     ),
+    # The submultiplicativity verdict's order: strict, it refuses the
+    # equality C(phi after id) = 5/6 = C(id) * C(phi), so functor-check
+    # exits 1 with a compression-submultiplicativity violation.
+    "le-strict": Mutant(
+        malg.maps.CompressionResult,
+        "le",
+        "self.value <= other.value",
+        "self.value < other.value",
+        FUNCTOR,
+    ),
     # The functor-law path's one-pass builders: MeasurableMap's preimage
     # masks, induced_homomorphism's atom masks and INP guard, the loop of
     # FiniteMeasureSpace.__init__ that sorts the atoms into the classes

@@ -16,6 +16,7 @@ from malg.formats import (
     MAX_METRIC_POINTS,
     dumps_canonical,
     map_to_obj,
+    metric_space_to_obj,
     space_to_obj,
 )
 
@@ -62,6 +63,18 @@ def test_validate_ok(capsys, s1, tmp_path):
     assert entry["canonical"] == space_to_obj(s1)
     assert report["violations"] == []
     assert str(path) in report["inputs"]
+
+
+def test_validate_metric_space(capsys, s2_metric, tmp_path):
+    path = tmp_path / "s2-metric.json"
+    path.write_text(dumps_canonical(metric_space_to_obj(s2_metric)))
+    code, report = run_cli(capsys, ["validate", str(path)])
+    assert code == 0 and report["exit_code"] == 0
+    entry = report["results"]["files"][0]
+    assert entry["kind"] == "metric_space"
+    assert entry["sigma_finite"] is True
+    assert entry["canonical"] == metric_space_to_obj(s2_metric)
+    assert entry["canonical"]["dist"] == ["1"]
 
 
 def test_validate_flags_infinite_space(capsys, tmp_path):
@@ -144,13 +157,31 @@ def _malformed_document(kind, phi) -> bytes:
     if kind == "deep-nesting":
         return b"[" * 100_000 + b"]" * 100_000
     obj = map_to_obj(phi)
-    if kind == "nested-atom":
+    if kind == "json-list":
+        obj = [obj]
+    elif kind == "nested-atom":
         obj["source"]["atoms"][0] = [["p1"]]
     elif kind == "huge-weight":
         obj["source"]["weights"][0] = "1e5000"
+    elif kind == "weights-not-list":
+        obj["source"]["weights"] = "1"
+    elif kind == "dist-not-list":
+        obj["target"]["dist"] = "1"
+    elif kind == "dist-inf":
+        obj["target"]["dist"] = ["inf"]
     else:
         obj["target"]["dist"] = ["1e5000"]
     return json.dumps(obj).encode()
+
+
+# the detail of each kind whose detail is one fixed message; a JSON list is
+# refused as a space by validate and as a map by the other commands
+MALFORMED_DETAILS = {
+    "json-list": "{} document must be a JSON object",
+    "weights-not-list": "weights: must be a list",
+    "dist-not-list": "dist: must be a list of rational strings",
+    "dist-inf": "dist[0]: not a rational: 'inf'",
+}
 
 
 @pytest.mark.parametrize("command", ["validate", "classify", "theorem-check"])
@@ -158,7 +189,11 @@ def _malformed_document(kind, phi) -> bytes:
     "kind, error",
     [
         ("invalid-utf8", "InvalidDocument"),
+        ("json-list", "InvalidDocument"),
         ("nested-atom", "InvalidDocument"),
+        ("weights-not-list", "InvalidDocument"),
+        ("dist-not-list", "InvalidDocument"),
+        ("dist-inf", "InvalidDocument"),
         ("huge-weight", "InvalidDocument"),
         ("huge-distance", "InvalidDocument"),
         ("deep-nesting", "MalgError"),  # the error of any invalid JSON
@@ -173,6 +208,9 @@ def test_malformed_document_exits_2(capsys, phi, tmp_path, kind, error, command)
     entry = results["files"][0] if command == "validate" else results
     assert entry["error"] == error
     assert entry["file"] == str(path)
+    if kind in MALFORMED_DETAILS:
+        document = "space" if command == "validate" else "map"
+        assert entry["detail"] == MALFORMED_DETAILS[kind].format(document)
 
 
 @pytest.mark.parametrize("command", ["validate", "classify", "theorem-check"])

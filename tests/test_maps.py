@@ -4,7 +4,6 @@ import inspect
 import random
 import time
 from fractions import Fraction
-from functools import partial
 
 import pytest
 
@@ -335,6 +334,22 @@ def test_bounded_rejects_negative_values():
     assert CompressionResult.bounded("1/2").times(CompressionResult.bounded(4)).value == 2
 
 
+def test_compression_order_and_product_tables():
+    # the four values ascend, with Unbounded on top; Unbounded absorbs
+    # every product, 0's too, where ExtRational has 0 * inf == 0
+    values = (*map(CompressionResult.bounded, (0, "1/2", 2)), UNBOUNDED)
+    assert ExtRational(0) * INF == ExtRational(0)
+    for i, a in enumerate(values):
+        assert [a.le(b) for b in values] == [i <= j for j in range(4)], a
+    products = [
+        ["0", "0", "0", "unbounded"],
+        ["0", "1/4", "1", "unbounded"],
+        ["0", "1", "4", "unbounded"],
+        ["unbounded"] * 4,
+    ]
+    assert [[str(a.times(b)) for b in values] for a in values] == products
+
+
 def test_pushforward_measure_takes_one_ext_rational_per_target_atom(phi):
     target = phi.target
     assert PushforwardMeasure(target, [ExtRational("5/6"), ExtRational(0)]) == pushforward(phi)
@@ -373,11 +388,7 @@ def _constructor_cases():
         "MeasurableSet": ((space, 1), {}),
         "MeasureAlgebra": ((space,), {}),
         "MorphismClassification": (
-            (
-                True, True, CompressionResult(Fraction(1, 2)), CompressionResult(Fraction(2)),
-                False, True, Fraction(2), Fraction(1, 2),
-            ),
-            {},
+            (True, CompressionResult(Fraction(1, 2)), CompressionResult(Fraction(2))), {},
         ),
         "PushforwardMeasure": ((point, (ExtRational(3),)), {1: [(0.5,)]}),
     }
@@ -407,8 +418,9 @@ def test_public_constructors_refuse_floats():
 
 def test_public_constructors_refuse_negatives():
     # -1 where a count, a mask or a constant cannot be negative: a negative
-    # mask has infinitely many bits, and no weight, constant, pair count or
-    # rescale factor below zero means anything; a factor of 0 neither
+    # mask has infinitely many bits, and no weight, constant or pair count
+    # below zero means anything; nor does an unbounded Lipschitz constant
+    # on finite spaces
     space = make_space(["a"], [["a"]], [1])
     algebra = build_algebra(space)
     one = CompressionResult(Fraction(1))
@@ -419,12 +431,8 @@ def test_public_constructors_refuse_negatives():
         "AlgebraElement": lambda: AlgebraElement(algebra, -1),
         "BooleanHom": lambda: BooleanHom(algebra, algebra, {0: -1}),
         "BruteForceReport": lambda: BruteForceReport(one, None, -1),
+        "MorphismClassification": lambda: MorphismClassification(True, one, UNBOUNDED),
     }
-    for factor in (Fraction(-2), Fraction(0)):
-        for field_name in ("rescale_source_to_short", "rescale_target_to_short"):
-            cases[f"MorphismClassification {field_name}={factor}"] = partial(
-                MorphismClassification, True, True, one, **{field_name: factor}
-            )
     for name, build in cases.items():
         with pytest.raises(ValueError):
             build()

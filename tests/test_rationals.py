@@ -147,6 +147,9 @@ def test_total_order():
 def test_hash_matches_equality():
     assert hash(ExtRational(3)) == hash(3)
     assert hash(ExtRational("1/2")) == hash(Fraction(1, 2))
+    # an ExtRational given to ExtRational keeps its value
+    for value in (ExtRational("1/2"), INF):
+        assert ExtRational(value) == value and hash(ExtRational(value)) == hash(value)
     d = {ExtRational("1/2"): "half", INF: "top"}
     assert d[ExtRational("2/4")] == "half"
     assert d[ExtRational.infinity()] == "top"

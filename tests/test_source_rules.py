@@ -4,6 +4,7 @@ left unused, no export without a caller, and sources that parse at the
 declared Python floor."""
 
 import ast
+import dataclasses
 import re
 import sys
 from pathlib import Path
@@ -235,6 +236,19 @@ def test_functor_checks_build_their_maps_and_homs():
     for name, calls in required.items():
         missing = calls - _called_names(bodies[name])
         assert not missing, f"metric.py {name} does not call {sorted(missing)}"
+
+
+def test_classification_holds_only_what_classify_measures():
+    # the verdicts are functions of the two constants, so the record holds
+    # the measured values and derives the rest; classify builds it once
+    names = [f.name for f in dataclasses.fields(malg.MorphismClassification)]
+    assert names == ["inverse_nil_preserving", "compression", "lipschitz_point"]
+    body = _functions(dict(_trees())["metric.py"], {"classify"})["classify"]
+    built = [
+        node for node in ast.walk(body)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "MorphismClassification"
+    ]
+    assert len(built) == 1, f"classify builds MorphismClassification {len(built)} times"
 
 
 def test_measure_algebra_init_has_no_loop():

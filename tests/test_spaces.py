@@ -9,8 +9,10 @@ from malg import (
     ArityMismatch,
     DuplicatePoint,
     ExtRational,
+    FiniteMetricMeasureSpace,
     ForeignSet,
     InvalidRational,
+    L1Function,
     MeasurableSet,
     NegativeWeight,
     PartitionGap,
@@ -192,3 +194,12 @@ def test_space_equality_and_hash(s1):
     assert twin == s1
     assert hash(twin) == hash(s1)
     assert len({twin, s1}) == 1
+    # the values built on a space: a metric on it and an L1 function on it
+    ones = [[int(i != j) for j in range(4)] for i in range(4)]
+    twos = [[2 * d for d in row] for row in ones]
+    metric, twin_metric = (FiniteMetricMeasureSpace(sp, ones) for sp in (s1, twin))
+    assert metric == twin_metric and hash(metric) == hash(twin_metric)
+    assert len({metric, twin_metric, FiniteMetricMeasureSpace(s1, twos)}) == 2
+    f = L1Function(s1, {0: Fraction(1, 2), 1: 3})
+    assert f == L1Function(twin, {0: Fraction(1, 2), 1: 3})
+    assert f != L1Function(s1, {0: Fraction(1, 2), 1: 4})
