@@ -33,7 +33,6 @@ from .formats import (
     dumps_indented,
     element_to_obj,
     map_to_obj,
-    metric_space_to_obj,
     obj_to_map,
     parse_space_document,
     space_to_obj,
@@ -108,15 +107,10 @@ def _text(value) -> str:
 
 
 def _space_entry(parsed) -> dict:
-    if isinstance(parsed, FiniteMetricMeasureSpace):
-        return {
-            "kind": "metric_space",
-            "sigma_finite": parsed.base.is_sigma_finite,
-            "canonical": metric_space_to_obj(parsed),
-        }
+    metric = isinstance(parsed, FiniteMetricMeasureSpace)
     return {
-        "kind": "space",
-        "sigma_finite": parsed.is_sigma_finite,
+        "kind": "metric_space" if metric else "space",
+        "sigma_finite": (parsed.base if metric else parsed).is_sigma_finite,
         "canonical": space_to_obj(parsed),
     }
 

@@ -110,22 +110,21 @@ def _read_weight(text, field: str) -> ExtRational:
         raise InvalidDocument(f"{field}: weight {text!r} is negative") from None
 
 
-def space_to_obj(space: FiniteMeasureSpace) -> dict:
-    return {
-        "points": list(space.points),
-        "atoms": [list(block) for block in space.atoms],
-        "weights": [str(w) for w in space.weights],
+def space_to_obj(space: FiniteMeasureSpace | FiniteMetricMeasureSpace) -> dict:
+    """A space's document; a metric space's adds the `dist` upper triangle."""
+    metric = isinstance(space, FiniteMetricMeasureSpace)
+    base = space.base if metric else space
+    obj = {
+        "points": list(base.points),
+        "atoms": [list(block) for block in base.atoms],
+        "weights": [str(w) for w in base.weights],
     }
-
-
-def metric_space_to_obj(mm: FiniteMetricMeasureSpace) -> dict:
-    obj = space_to_obj(mm.base)
-    points = mm.base.points
-    upper = []
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            upper.append(str(_short_distance(mm.dist[i][j], len(upper))))
-    obj["dist"] = upper
+    if metric:
+        upper = []
+        for i in range(len(base.points)):
+            for j in range(i + 1, len(base.points)):
+                upper.append(str(_short_distance(space.dist[i][j], len(upper))))
+        obj["dist"] = upper
     return obj
 
 
@@ -208,19 +207,9 @@ def map_to_obj(
     source_metric: Optional[FiniteMetricMeasureSpace] = None,
     target_metric: Optional[FiniteMetricMeasureSpace] = None,
 ) -> dict:
-    source = (
-        metric_space_to_obj(source_metric)
-        if source_metric is not None
-        else space_to_obj(phi.source)
-    )
-    target = (
-        metric_space_to_obj(target_metric)
-        if target_metric is not None
-        else space_to_obj(phi.target)
-    )
     return {
-        "source": source,
-        "target": target,
+        "source": space_to_obj(source_metric or phi.source),
+        "target": space_to_obj(target_metric or phi.target),
         "fn": {p: phi.point_fn[p] for p in phi.source.points},
     }
 

@@ -42,7 +42,7 @@ from .errors import (
     UnknownPoint,
 )
 from .rationals import ExtRational, to_fraction
-from .spaces import FiniteMeasureSpace, _ids, _require, _submasks, _weighted_sum
+from .spaces import FiniteMeasureSpace, _ids, _join, _require, _submasks, _weighted_sum
 
 
 class MeasurableMap:
@@ -145,40 +145,10 @@ def compose(g: MeasurableMap, f: MeasurableMap) -> MeasurableMap:
     return make_map(f.source, g.target, fn)
 
 
-class PushforwardMeasure:
-    """Image measure on the target: per-atom mass pulled through the map.
-
-    Takes one ExtRational per target atom: another type raises TypeError,
-    and a count other than the target's atoms raises ValueError.
-    """
-
-    __slots__ = ("target", "masses")
-
-    masses: tuple[ExtRational, ...]
-
-    def __init__(self, target: FiniteMeasureSpace, masses: tuple[ExtRational, ...]):
-        n_atoms = _require(target, FiniteMeasureSpace, "a pushforward's target").n_atoms
-        masses = tuple(masses)
-        for m in masses:
-            _require(m, ExtRational, "a pushforward mass")
-        if len(masses) != n_atoms:
-            raise ValueError(f"{len(masses)} masses for {n_atoms} target atoms")
-        self.target = target
-        self.masses = masses
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PushforwardMeasure):
-            return NotImplemented
-        return self.target == other.target and self.masses == other.masses
-
-    def __repr__(self) -> str:
-        return f"PushforwardMeasure({[str(m) for m in self.masses]})"
-
-
-def pushforward(phi: MeasurableMap) -> PushforwardMeasure:
+def pushforward(phi: MeasurableMap) -> tuple[ExtRational, ...]:
+    """The image measure: per target atom, the ExtRational weight of its preimage."""
     weights = phi.source.weights
-    masses = tuple(_weighted_sum(weights, pre) for pre in phi._preimage_masks)
-    return PushforwardMeasure(phi.target, masses)
+    return tuple(_weighted_sum(weights, pre) for pre in phi._preimage_masks)
 
 
 def is_inverse_nil_preserving(phi: MeasurableMap) -> bool:
@@ -195,44 +165,34 @@ def is_inverse_nil_preserving(phi: MeasurableMap) -> bool:
     return True
 
 
-def _pullback(phi: MeasurableMap, target_mask: int) -> int:
-    """Mask of the source atoms mapped into the target atoms of the mask."""
-    masks = phi._preimage_masks
-    pre = 0
-    while target_mask:
-        low = target_mask & -target_mask
-        pre |= masks[low.bit_length() - 1]
-        target_mask ^= low
-    return pre
-
-
 def null_ideal_preserved(phi: MeasurableMap) -> bool:
     """Null-ideal formulation: the preimage of every null set is null.
 
-    `_pullback` is an OR over atoms, so it is monotone and preserves
+    The preimage is a `_join` over atoms, so it is monotone and preserves
     joins. Every null target set lies inside N, the join of the null
     target atoms, so the law holds exactly when the preimage of N has
     measure zero; that one preimage is measured. Agrees with
     is_inverse_nil_preserving.
     """
     null_tgt = phi.target._null_mask
-    return _weighted_sum(phi.source.weights, _pullback(phi, null_tgt)).is_zero
+    pre = _join(phi._preimage_masks, null_tgt)
+    return _weighted_sum(phi.source.weights, pre).is_zero
 
 
 def check_well_definedness(phi: MeasurableMap) -> bool:
     """True iff target sets equal mod null have preimages equal mod null.
 
     Two target sets equal mod null differ only inside N, the join of the
-    null target atoms. `_pullback` is an OR over atoms, so it is monotone
-    and preserves joins: their preimages differ only inside the preimage
-    of N. The pair (top, top ^ N) is itself equal mod null and its
-    preimages differ by exactly the preimage of N, so comparing that one
-    pair modulo null decides the law.
+    null target atoms. The preimage is a `_join` over atoms, so it is
+    monotone and preserves joins: their preimages differ only inside the
+    preimage of N. The pair (top, top ^ N) is itself equal mod null and
+    its preimages differ by exactly the preimage of N, so comparing that
+    one pair modulo null decides the law.
     """
     nonnull_src = phi.source._nonnull_mask
     null_tgt = phi.target._null_mask
-    top = phi.target._top
-    return not (_pullback(phi, top) ^ _pullback(phi, top ^ null_tgt)) & nonnull_src
+    top, pre = phi.target._top, phi._preimage_masks
+    return not (_join(pre, top) ^ _join(pre, top ^ null_tgt)) & nonnull_src
 
 
 class BooleanHom:
@@ -273,13 +233,7 @@ class BooleanHom:
     def apply(self, elem: AlgebraElement) -> AlgebraElement:
         if elem.algebra != self.domain:
             raise ForeignElement("element is not in the hom's domain algebra")
-        atom_masks = self.atom_masks
-        mask, image = elem.mask, 0
-        while mask:
-            low = mask & -mask
-            image |= atom_masks[low.bit_length() - 1]
-            mask ^= low
-        return AlgebraElement(self.codomain, image)
+        return AlgebraElement(self.codomain, _join(self.atom_masks, elem.mask))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BooleanHom):
@@ -365,11 +319,11 @@ def compression(phi: MeasurableMap) -> CompressionResult:
     mass force Unbounded; atoms of infinite weight or zero mass constrain
     nothing. Bounded(0) is the degenerate zero-pushforward case.
     """
-    push = pushforward(phi)
+    masses = pushforward(phi)
     best: Optional[Fraction] = None
     for b in range(phi.target.n_atoms):
         w = phi.target.weights[b]
-        m = push.masses[b]
+        m = masses[b]
         if w.is_zero:
             if not m.is_zero:
                 return UNBOUNDED

@@ -36,7 +36,7 @@ from .maps import (
     is_inverse_nil_preserving,
 )
 from .rationals import to_fraction
-from .spaces import FiniteMeasureSpace, _ids, _require, make_space
+from .spaces import FiniteMeasureSpace, _ids, _join, _require, make_space
 
 
 class FiniteMetricMeasureSpace:
@@ -220,9 +220,7 @@ def composition_law_violations(
         )
     for b in hom_gf.domain.nonnull_atoms:
         via_composite = hom_gf.atom_masks[b]
-        via_factors = 0
-        for c in _ids(hom_g.atom_masks[b]):
-            via_factors |= hom_f.atom_masks[c]
+        via_factors = _join(hom_f.atom_masks, hom_g.atom_masks[b])
         if via_composite != via_factors:
             return [
                 LawViolation(

@@ -50,6 +50,17 @@ def _ids(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _join(table, mask: int) -> int:
+    """The OR of `table[i]` over the atoms i of `mask`: the one join walk
+    behind a map's preimages, a hom's `apply` and the composition law."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= table[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
 def _submasks(mask: int) -> Iterator[int]:
     """Every submask of `mask`, from `mask` itself down to 0."""
     sub = mask

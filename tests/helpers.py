@@ -10,7 +10,7 @@ target atom's point preimage; `point_images` gives the induced hom's atom
 masks; and `point_disagreement` names the first map on which the
 library's functor-law path (a space's atom classes, `MeasureAlgebra`'s
 fields, `identity_map`, the preimages `MeasurableMap` derives,
-`induced_homomorphism`, `BooleanHom.apply` and `_pullback`) differs from
+`induced_homomorphism`, `BooleanHom.apply` and `_join`) differs from
 the point preimages. `definition_pair_oracle`, the reference for the
 library's pair oracle, reads the two spaces' weights and a table of atom
 images alone, from `point_images` or a planted faulty hom. The
@@ -358,7 +358,8 @@ def point_disagreement(maps) -> Optional[tuple]:
     induced hom must send each non-null target atom to its point preimage
     without the null source atoms, or refuse exactly the maps that break
     the null-ideal law; `apply` must do so on every domain element and
-    `_pullback` must give the point preimage of every target mask."""
+    `_join` over the preimage masks must give the point preimage of every
+    target mask."""
 
     built = set()  # a space is rebuilt from its points, atoms and weights alone
     for phi in maps:
@@ -416,7 +417,7 @@ def point_disagreement(maps) -> Optional[tuple]:
                 if hom.apply(elem).mask != table[elem.mask] & nonnull_src:
                     return phi, "apply"
         for mask, pre in enumerate(table):
-            if malg.maps._pullback(phi, mask) != pre:
+            if malg.spaces._join(phi._preimage_masks, mask) != pre:
                 return phi, "pullback"
     return None
 

@@ -52,7 +52,6 @@ from malg import (
     AlgebraElement,
     BooleanHom,
     ExtRational,
-    PushforwardMeasure,
     build_algebra,
     identity_map,
     induced_homomorphism,
@@ -237,11 +236,10 @@ def _faulty_homs():
 
 def _skip_last_source_atom(phi):
     # off-by-one: each preimage block loses its last source atom
-    masses = tuple(
+    return tuple(
         sum((phi.source.weights[a] for a in block[:-1]), ExtRational(0))
         for block in phi.atom_preimages
     )
-    return PushforwardMeasure(phi.target, masses)
 
 
 def _lowest_atom_only(elem):
@@ -490,13 +488,12 @@ MUTANTS = {
         "via_composite == via_factors",
         FUNCTOR,
     ),
+    # the composition law joins the factors' images through _join
     "composition-join-as-meet": Mutant(
-        malg.metric, "composition_law_violations", "via_factors |=", "via_factors &=",
-        FUNCTOR,
+        malg.spaces, "_join", "out |=", "out &=", FUNCTOR
     ),
     "composition-join-as-xor": Mutant(
-        malg.metric, "composition_law_violations", "via_factors |=", "via_factors ^=",
-        FUNCTOR,
+        malg.spaces, "_join", "out |=", "out ^=", FUNCTOR,
         # induced homs send distinct atoms to disjoint images, and the
         # planted fault keeps them disjoint: ^= joins them as |= does
         "equivalent over disjoint images",
@@ -607,9 +604,10 @@ MUTANTS = {
         # bits: the range check alone rejects it, with the same message
         "equivalent: a negative mask leaves top",
     ),
-    # The one-pullback null-ideal laws and `_pullback`, seen by the two laws
-    # and the per-atom weight loop on the null-law maps. The count of
-    # disagreeing maps (of 23,100) is noted for each.
+    # The one-pullback null-ideal laws and the `_join` they pull back
+    # through, seen by the two laws and the per-atom weight loop on the
+    # null-law maps. The count of disagreeing maps (of 23,100) is noted
+    # for each.
     "null-ideal-negated": Mutant(  # 23,100
         malg.maps,
         "null_ideal_preserved",
@@ -620,8 +618,8 @@ MUTANTS = {
     "null-ideal-pullback-emptied": Mutant(  # 6,924
         malg.maps,
         "null_ideal_preserved",
-        "_pullback(phi, null_tgt)",
-        "_pullback(phi, null_tgt) & 0",
+        "_join(phi._preimage_masks, null_tgt)",
+        "_join(phi._preimage_masks, null_tgt) & 0",
         NULL,
     ),
     "well-defined-mod-null-as-join": Mutant(  # 15,723
@@ -634,7 +632,7 @@ MUTANTS = {
         malg.maps, "check_well_definedness", "top ^ null_tgt", "top | null_tgt", NULL
     ),
     "well-defined-difference-as-join": Mutant(  # 15,555
-        malg.maps, "check_well_definedness", ") ^ _pullback", ") | _pullback", NULL
+        malg.maps, "check_well_definedness", ") ^ _join", ") | _join", NULL
     ),
     "well-defined-not-dropped": Mutant(  # 23,100
         malg.maps, "check_well_definedness", "return not", "return", NULL
@@ -650,10 +648,10 @@ MUTANTS = {
         "equivalent: the XOR does not depend on top",
     ),
     "pullback-join-as-meet": Mutant(  # 6,924
-        malg.maps, "_pullback", "pre |=", "pre &=", NULL
+        malg.spaces, "_join", "out |=", "out &=", NULL
     ),
     "pullback-join-as-xor": Mutant(
-        malg.maps, "_pullback", "pre |=", "pre ^=", NULL,
+        malg.spaces, "_join", "out |=", "out ^=", NULL,
         # the preimage masks of distinct target atoms are disjoint
         "equivalent over disjoint preimage blocks",
     ),

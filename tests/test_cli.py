@@ -16,7 +16,6 @@ from malg.formats import (
     MAX_METRIC_POINTS,
     dumps_canonical,
     map_to_obj,
-    metric_space_to_obj,
     space_to_obj,
 )
 
@@ -67,13 +66,13 @@ def test_validate_ok(capsys, s1, tmp_path):
 
 def test_validate_metric_space(capsys, s2_metric, tmp_path):
     path = tmp_path / "s2-metric.json"
-    path.write_text(dumps_canonical(metric_space_to_obj(s2_metric)))
+    path.write_text(dumps_canonical(space_to_obj(s2_metric)))
     code, report = run_cli(capsys, ["validate", str(path)])
     assert code == 0 and report["exit_code"] == 0
     entry = report["results"]["files"][0]
     assert entry["kind"] == "metric_space"
     assert entry["sigma_finite"] is True
-    assert entry["canonical"] == metric_space_to_obj(s2_metric)
+    assert entry["canonical"] == space_to_obj(s2_metric)
     assert entry["canonical"]["dist"] == ["1"]
 
 

@@ -27,7 +27,6 @@ from malg.formats import (
     dumps_canonical,
     dumps_indented,
     map_to_obj,
-    metric_space_to_obj,
     obj_to_map,
     obj_to_metric_space,
     obj_to_space,
@@ -64,7 +63,7 @@ def test_field_order_fixed(s1):
     obj = space_to_obj(s1)
     assert list(obj.keys()) == ["points", "atoms", "weights"]
     mm = make_metric_space(["a", "b"], [1, 1], [[0, 1], [1, 0]])
-    assert list(metric_space_to_obj(mm).keys()) == ["points", "atoms", "weights", "dist"]
+    assert list(space_to_obj(mm).keys()) == ["points", "atoms", "weights", "dist"]
 
 
 def test_parse_space_errors():
@@ -88,15 +87,15 @@ def test_metric_space_round_trip():
         [1, Fraction(1, 2), 2],
         [[0, 1, 2], [1, 0, 1], [2, 1, 0]],
     )
-    obj = metric_space_to_obj(mm)
+    obj = space_to_obj(mm)
     assert obj["dist"] == ["1", "2", "1"]
     again = obj_to_metric_space(json.loads(dumps_canonical(obj)))
     assert again == mm
-    assert dumps_canonical(metric_space_to_obj(again)) == dumps_canonical(obj)
+    assert dumps_canonical(space_to_obj(again)) == dumps_canonical(obj)
 
 
 def test_metric_dist_arity_checked():
-    obj = metric_space_to_obj(
+    obj = space_to_obj(
         make_metric_space(["a", "b"], [1, 1], [[0, 1], [1, 0]])
     )
     obj["dist"] = ["1", "2"]
@@ -105,7 +104,7 @@ def test_metric_dist_arity_checked():
 
 
 def test_metric_distance_digits_capped():
-    obj = metric_space_to_obj(
+    obj = space_to_obj(
         make_metric_space(["a", "b"], [1, 1], [[0, 1], [1, 0]])
     )
     for at_cap in ("9" * MAX_DISTANCE_DIGITS, "1/" + "9" * MAX_DISTANCE_DIGITS):
@@ -129,19 +128,19 @@ def test_metric_writer_keeps_the_digit_cap():
         return FiniteMetricMeasureSpace(mm.base, [[k * d for d in row] for row in mm.dist])
 
     at_cap = rescaled("1/" + "9" * MAX_DISTANCE_DIGITS)
-    assert obj_to_metric_space(metric_space_to_obj(at_cap)).dist == at_cap.dist
+    assert obj_to_metric_space(space_to_obj(at_cap)).dist == at_cap.dist
     over = rescaled("1/1" + "0" * MAX_DISTANCE_DIGITS)
     with pytest.raises(InvalidDocument, match=rf"dist\[0\]: .* {MAX_DISTANCE_DIGITS} digits"):
-        metric_space_to_obj(over)
+        space_to_obj(over)
     # d(a, b) * 5e17 has 18 digits, d(a, c) * 5e17 = 1e18 has 19
     longer = rescaled("5" + "0" * (MAX_DISTANCE_DIGITS - 1))
     with pytest.raises(InvalidDocument, match=r"dist\[1\]: "):
-        metric_space_to_obj(longer)
+        space_to_obj(longer)
 
 
 def test_parse_space_document_detects_metric():
     mm = make_metric_space(["a", "b"], [1, 1], [[0, 1], [1, 0]])
-    parsed = parse_space_document(metric_space_to_obj(mm))
+    parsed = parse_space_document(space_to_obj(mm))
     assert parsed == mm
     parsed_plain = parse_space_document(space_to_obj(mm.base))
     assert parsed_plain == mm.base

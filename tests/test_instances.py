@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+import pytest
+
 from malg.instances import (
     SplitMix64,
     random_composable_pair,
@@ -22,6 +24,14 @@ def test_splitmix_reference_values():
     ]
     rng = SplitMix64(1234567)
     assert rng.next_u64() == 6457827717110365317
+
+
+def test_below_refuses_an_empty_range():
+    # [0, bound) holds no value to draw for a bound of 0 or less
+    rng = SplitMix64(0)
+    for bound in (0, -1):
+        with pytest.raises(ValueError, match="bound must be positive"):
+            rng.below(bound)
 
 
 def test_same_seed_same_instance():

@@ -163,7 +163,7 @@ def test_point_oracle_reads_no_library_preimage():
         "point_images", "definition_pair_oracle",
     }
     library = {
-        "_pullback", "induced_homomorphism", "apply", "pushforward", "make_map", "_mask",
+        "_join", "induced_homomorphism", "apply", "pushforward", "make_map", "_mask",
         "lipschitz_bruteforce", "_submasks", "_ids", "mu_bar", "rho", "fin_elements",
         "all_elements",
     }
@@ -173,6 +173,30 @@ def test_point_oracle_reads_no_library_preimage():
         assert not shared, f"helpers.py {name} reads {sorted(shared)}"
         called = _called_names(body) & library
         assert not called, f"helpers.py {name} calls {sorted(called)}"
+
+
+def _strips_lowest_bit(node) -> bool:
+    """Whether `node` is `x & -x` for one expression x."""
+    return (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.BitAnd)
+        and isinstance(node.right, ast.UnaryOp)
+        and isinstance(node.right.op, ast.USub)
+        and ast.unparse(node.left) == ast.unparse(node.right.operand)
+    )
+
+
+def test_join_walk_lives_in_spaces():
+    # a map's preimages, a hom's apply and the composition law all join
+    # atom images through spaces._join, so no other module walks a mask's
+    # atoms one lowest bit at a time
+    for name, tree in _trees():
+        if name == "spaces.py":
+            continue
+        for loop in ast.walk(tree):
+            if isinstance(loop, ast.While):
+                stripped = [n for n in ast.walk(loop) if _strips_lowest_bit(n)]
+                assert not stripped, f"{name}:{loop.lineno} walks a mask's atoms itself"
 
 
 def test_library_reads_preimage_masks_only():

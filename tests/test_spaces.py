@@ -203,3 +203,10 @@ def test_space_equality_and_hash(s1):
     f = L1Function(s1, {0: Fraction(1, 2), 1: 3})
     assert f == L1Function(twin, {0: Fraction(1, 2), 1: 3})
     assert f != L1Function(s1, {0: Fraction(1, 2), 1: 4})
+    # and a set or an algebra element on it
+    sets = [sp.atom_set([0, 2]) for sp in (s1, twin)]
+    assert hash(sets[0]) == hash(sets[1])
+    assert len({*sets, s1.atom_set([1])}) == 2
+    elements = [build_algebra(sp).element([0]) for sp in (s1, twin)]
+    assert hash(elements[0]) == hash(elements[1])
+    assert len({*elements, build_algebra(s1).element([1])}) == 2
