@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import ForeignElement, ForeignFunction, ForeignSet, NotInFinIdeal
-from .rationals import ExtRational, to_fraction
+from .rationals import ZERO, ExtRational, to_fraction
 from .spaces import (
     FiniteMeasureSpace,
     MeasurableSet,
@@ -174,7 +174,7 @@ def l1_distance(f: L1Function, g: L1Function) -> ExtRational:
     """Weighted L1 distance between two atom-constant functions."""
     if f.space != g.space:
         raise ForeignFunction("functions live on different spaces")
-    total = ExtRational(0)
+    total = ZERO
     for i in sorted(f.coefficients):
         gap = abs(f.coefficients[i] - g.coefficients[i])
         total = total + ExtRational(gap) * f.space.weights[i]

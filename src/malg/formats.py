@@ -27,6 +27,7 @@ from .spaces import FiniteMeasureSpace, make_space
 # denominators in about 2 s (Python 3.11, 2-core x86).
 MAX_METRIC_POINTS = 200
 MAX_DISTANCE_DIGITS = 18
+_TOO_BIG = 10**MAX_DISTANCE_DIGITS
 
 
 def dumps_indented(obj) -> str:
@@ -132,7 +133,7 @@ def _short_distance(value: Fraction, k: int) -> Fraction:
     """The upper-triangle entry `dist[k]`, if its numerator and
     denominator fit MAX_DISTANCE_DIGITS; read and write both check it, so
     every metric document malg writes reads back."""
-    if max(abs(value.numerator), value.denominator) >= 10**MAX_DISTANCE_DIGITS:
+    if max(abs(value.numerator), value.denominator) >= _TOO_BIG:
         raise InvalidDocument(
             f"dist[{k}]: numerator or denominator over {MAX_DISTANCE_DIGITS} digits"
         )

@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .maps import MeasurableMap, make_map
-from .rationals import ExtRational
+from .rationals import ZERO, ExtRational
 from .spaces import FiniteMeasureSpace, make_space
 
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -80,11 +80,11 @@ def random_space(
         if rng.chance(1, 20):
             weights.append(ExtRational.infinity())
         elif rng.chance(1, 10):
-            weights.append(ExtRational(0))
+            weights.append(ZERO)
         else:
             weights.append(ExtRational(Fraction(rng.below(17), 1 + rng.below(16))))
     if force_null and not any(w.is_zero for w in weights):
-        weights[rng.below(n_atoms)] = ExtRational(0)
+        weights[rng.below(n_atoms)] = ZERO
 
     return make_space(labels, blocks, weights)
 

@@ -2,6 +2,9 @@
 
 Every measure value in this package is an :class:`ExtRational`. Arithmetic
 follows the measure-theoretic conventions, in particular ``0 * inf == 0``.
+Values are immutable, so infinity and zero are each built once, as the
+module constants ``INF`` and ``ZERO`` (the package exports only ``INF``):
+every sum of weights starts at ``ZERO``, and ``0 * inf`` returns it.
 """
 
 from __future__ import annotations
@@ -143,7 +146,7 @@ class ExtRational:
         if self._frac is None or rhs._frac is None:
             # 0 * inf == 0 by the measure-theoretic convention
             if self._frac == 0 or rhs._frac == 0:
-                return ExtRational(0)
+                return ZERO
             return INF
         return ExtRational(self._frac * rhs._frac)
 
@@ -179,3 +182,4 @@ class ExtRational:
 
 
 INF = ExtRational.infinity()
+ZERO = ExtRational(0)

@@ -20,7 +20,7 @@ from .errors import (
     PartitionOverlap,
     UnknownPoint,
 )
-from .rationals import ExtRational
+from .rationals import ZERO, ExtRational
 
 
 def _require(value, kind: type, role: str):
@@ -73,7 +73,7 @@ def _submasks(mask: int) -> Iterator[int]:
 
 def _weighted_sum(weights: Sequence[ExtRational], mask: int) -> ExtRational:
     """The exact sum of the weights of the atoms in `mask`, lowest first."""
-    total = ExtRational(0)
+    total = ZERO
     while mask:
         low = mask & -mask
         total = total + weights[low.bit_length() - 1]
@@ -176,7 +176,7 @@ class FiniteMeasureSpace:
 
     @property
     def total_mass(self) -> ExtRational:
-        return sum(self.weights, ExtRational(0))
+        return sum(self.weights, ZERO)
 
     @property
     def is_sigma_finite(self) -> bool:

@@ -537,6 +537,17 @@ MUTANTS = {
     "induced-meet-as-join": Mutant(
         malg.maps, "induced_homomorphism", "pre[b] & top", "pre[b] | top", HOM
     ),
+    # an endomorphism's hom has one algebra on both sides; one algebra for
+    # every map puts the target's algebra on the hom's codomain
+    "induced-algebra-always-shared": Mutant(
+        malg.maps, "induced_homomorphism", "phi.source is phi.target", "True", HOM
+    ),
+    "induced-algebra-never-shared": Mutant(
+        malg.maps, "induced_homomorphism", "phi.source is phi.target", "False", HOM,
+        # MeasureAlgebra compares by its space, so a second algebra of the
+        # source equals the shared one and the hom is the same value
+        "equivalent: algebras of one space are equal",
+    ),
     "induced-inp-guard-negated": Mutant(
         malg.maps,
         "induced_homomorphism",
@@ -656,9 +667,10 @@ MUTANTS = {
         "equivalent over disjoint preimage blocks",
     ),
     # check_hom_laws's shortcut, the one test that decides a table lawful,
-    # seen by its reports on the small and faulty homs. Only the
-    # complement-form tables keep complements while breaking joins, so they
-    # alone kill the mutant without the join certificate.
+    # and the canonical order its witnesses are named in, seen by its
+    # reports on the small and faulty homs. Only the complement-form tables
+    # keep complements while breaking joins, so they alone kill the mutant
+    # without the join certificate.
     "and-as-or": Mutant(
         malg.maps,
         "check_hom_laws",
@@ -679,6 +691,10 @@ MUTANTS = {
         "bad is None and _joins_certified(image)",
         "_joins_certified(image)",
         SHORTCUT,
+    ),
+    # the table is filled in submask order, from top down
+    "witnesses-in-submask-order": Mutant(
+        malg.maps, "check_hom_laws", "sorted(image, key=_ids)", "image", SHORTCUT
     ),
 }
 

@@ -14,6 +14,7 @@ from malg import (
     BooleanHom,
     CompressionResult,
     ForeignElement,
+    MeasureAlgebra,
     MetricAxiomViolation,
     NotInverseNilPreserving,
     SpaceMismatch,
@@ -422,6 +423,27 @@ def test_lawful_contravariance_check_builds_no_element(monkeypatch):
     # the count is live: building one element shows in it
     build_algebra(f.source).element(())
     assert created == [0]
+
+
+def test_contravariance_check_shares_an_endomorphism_algebra(monkeypatch, phi, s1, s2, s3):
+    # each hom builds the algebras of its target and source, and one for
+    # both when the map's source is its target: two for each of the pair's
+    # three homs and one for each identity law over three spaces, and one
+    # for each of the six homs of a pair of endomorphisms
+    built = []
+    original = MeasureAlgebra.__init__
+
+    def counting_init(self, space):
+        built.append(space)
+        original(self, space)
+
+    monkeypatch.setattr(MeasureAlgebra, "__init__", counting_init)
+    g = make_map(s2, s3, {"q1": "r2", "q2": "r1"})
+    assert contravariance_check(phi, g).ok
+    assert built == [s2, s1, s3, s2, s3, s1, s1, s2, s3]
+    built.clear()
+    assert contravariance_check(identity_map(s2), identity_map(s2)).ok
+    assert built == [s2] * 6
 
 
 def test_corrupted_hom_fails_contravariance(phi, s2):

@@ -297,6 +297,35 @@ def test_measure_algebra_init_has_no_loop():
         )
 
 
+def _builds_zero(call) -> bool:
+    """Whether `call` is `ExtRational()` or `ExtRational(0)`, by name or
+    attribute, with the value passed by position or keyword."""
+    if ast.unparse(call.func).rpartition(".")[2] != "ExtRational":
+        return False
+    args = call.args + [keyword.value for keyword in call.keywords]
+    return not args or (
+        len(args) == 1 and isinstance(args[0], ast.Constant) and args[0].value in (0, "0")
+    )
+
+
+def test_zero_is_built_once():
+    # an ExtRational is immutable, so zero is built once, as rationals.ZERO
+    # next to INF; sums of weights start at it and 0 * inf returns it
+    trees = dict(_trees())
+    sites = [
+        f"{name}:{node.lineno}"
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _builds_zero(node)
+    ]
+    zero = next((
+        node.value for node in trees["rationals.py"].body
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["ZERO"]
+    ), None)
+    line = None if zero is None else zero.lineno
+    assert sites == [f"rationals.py:{line}"], f"ExtRational(0) is built at {sites}"
+
+
 def test_one_copy_of_the_mask_value_code():
     # MeasurableSet and AlgebraElement are one atom-mask value type: the
     # checks, the operators, equality and hashing live in their shared base,
