@@ -22,10 +22,10 @@ from .spaces import (
     FiniteMeasureSpace,
     MeasurableSet,
     _AtomMask,
+    _canonical,
     _ids,
     _mask,
     _require,
-    _submasks,
     _weighted_sum,
 )
 
@@ -52,15 +52,11 @@ class MeasureAlgebra:
 
     def all_elements(self) -> list["AlgebraElement"]:
         """Every element, in canonical order (lexicographic on sorted ids)."""
-        return self._elements_below(self._top)
+        return [AlgebraElement(self, mask) for mask in _canonical(self._top)]
 
     def fin_elements(self) -> list["AlgebraElement"]:
         """Elements of finite measure, in canonical order."""
-        return self._elements_below(self._fin)
-
-    def _elements_below(self, top: int) -> list["AlgebraElement"]:
-        ordered = sorted(_submasks(top), key=_ids)
-        return [AlgebraElement(self, mask) for mask in ordered]
+        return [AlgebraElement(self, mask) for mask in _canonical(self._fin)]
 
     def __eq__(self, other) -> bool:
         if self is other:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .maps import MeasurableMap, make_map
-from .rationals import ZERO, ExtRational
+from .rationals import INF, ZERO, ExtRational
 from .spaces import FiniteMeasureSpace, make_space
 
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -78,7 +78,7 @@ def random_space(
     weights: list[ExtRational] = []
     for _ in range(n_atoms):
         if rng.chance(1, 20):
-            weights.append(ExtRational.infinity())
+            weights.append(INF)
         elif rng.chance(1, 10):
             weights.append(ZERO)
         else:

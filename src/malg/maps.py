@@ -42,7 +42,7 @@ from .errors import (
     UnknownPoint,
 )
 from .rationals import ExtRational, to_fraction
-from .spaces import FiniteMeasureSpace, _ids, _join, _require, _submasks, _weighted_sum
+from .spaces import FiniteMeasureSpace, _canonical, _ids, _join, _require, _weighted_sum
 
 
 class MeasurableMap:
@@ -351,9 +351,10 @@ def lipschitz_fast(phi: MeasurableMap) -> CompressionResult:
     the best ratio is an int pair (num, den), compared by cross-multiplying
     over positive denominators, and made a Fraction once at the end.
     """
-    if not is_inverse_nil_preserving(phi):
+    try:
+        hom = induced_homomorphism(phi)
+    except NotInverseNilPreserving:
         return UNBOUNDED
-    hom = induced_homomorphism(phi)
     num, den = 0, 1
     for b in hom.domain.fin_atoms:
         image_mass = mu_bar(AlgebraElement(hom.codomain, hom.atom_masks[b]))
@@ -436,15 +437,16 @@ def lipschitz_bruteforce(
         raise BudgetExceeded(
             f"{n_nonnull} non-null target atoms exceed the budget of {budget}"
         )
-    if not is_inverse_nil_preserving(phi):
+    try:
+        hom = induced_homomorphism(phi)
+    except NotInverseNilPreserving:
         return BruteForceReport(UNBOUNDED, None)
-    hom = induced_homomorphism(phi)
     domain = hom.domain
 
     # the finite ideal as atom masks in canonical order; each element less
     # its highest atom comes before it, so one pass fills the image under
     # the hom and the target mass of every element
-    order = sorted(_submasks(domain._fin), key=_ids)
+    order = list(_canonical(domain._fin))
     atom_masks, tgt_weights = hom.atom_masks, phi.target.weights
     images: dict[int, int] = {0: 0}
     mu2: dict[int, Fraction] = {0: Fraction(0)}
@@ -524,39 +526,32 @@ def _joins_certified(image: dict[int, int]) -> bool:
 
 
 def _uncomplemented(image: dict[int, int], top: int, image_top: int) -> Optional[int]:
-    """The first element, in the table's order, whose complement's image
-    is not the complement of its image; None if there is none."""
+    """The table's first element whose complement maps to the wrong image, or None."""
     return next((a for a in image if image[a ^ top] != image[a] ^ image_top), None)
 
 
 def check_hom_laws(hom: BooleanHom) -> LawReport:
     """Exhaustively verify the Boolean-homomorphism laws on the domain.
 
-    Applies the hom once to every domain element, in submask order, and
-    decides all five laws from two linear tests on the table of image
-    masks, neither of which reads its order: complements, and the join
-    certificate. Kept joins put image[0] inside image[top]; the complement
-    of 0 makes image[top] the codomain's top less image[0], so disjoint
-    from it. So image[0] is 0 and image[top] is the codomain's top, and
-    meets follow by De Morgan, since AlgebraElement keeps every image mask
-    inside that top. A lawful hom costs these two passes and sorts
-    nothing; a table that fails a test is put in canonical order and
-    scanned law by law (zero, top, all ordered pairs for join and for
-    meet, complement) to name each law's first counterexample in that
-    order as its witness, up to 2 * 4^k pairs for k domain atoms even when
-    joins or meets hold. No CLI command calls this check, and the homs the
-    library builds are lawful.
+    Applies the hom once to every domain element, in canonical order, and
+    decides all five laws from two linear tests on that one table of image
+    masks: complements, and the join certificate. Kept joins put image[0]
+    inside image[top]; the complement of 0 makes image[top] the codomain's
+    top less image[0], so disjoint from it. So image[0] is 0 and image[top]
+    is the codomain's top, and meets follow by De Morgan, since
+    AlgebraElement keeps every image mask inside that top. A failing table
+    is scanned law by law (zero, top, all ordered pairs for join and for
+    meet, complement) for each law's first counterexample, its witness: up
+    to 2 * 4^k pairs for k domain atoms, even when joins or meets hold. No
+    CLI command calls this check, and the homs the library builds are lawful.
     """
     domain = hom.domain
     top, image_top = domain._top, hom.codomain._top
-    image = {a: hom.apply(AlgebraElement(domain, a)).mask for a in _submasks(top)}
+    image = {a: hom.apply(AlgebraElement(domain, a)).mask for a in _canonical(top)}
     bad = _uncomplemented(image, top, image_top)
     if bad is None and _joins_certified(image):
         return LawReport(())
 
-    # witnesses are named in canonical order
-    image = {a: image[a] for a in sorted(image, key=_ids)}
-    bad = _uncomplemented(image, top, image_top)
     found: list[tuple[str, dict[str, int]]] = []  # law, witness masks
     if image[0]:
         found.append(("preserves-zero", {"got": image[0]}))

@@ -91,7 +91,7 @@ class ExtRational:
 
     __slots__ = ("_frac",)
 
-    def __init__(self, value: RationalLike = 0):
+    def __init__(self, value: RationalLike):
         if isinstance(value, ExtRational):
             frac = value._frac
         elif isinstance(value, str):

@@ -61,14 +61,22 @@ def _join(table, mask: int) -> int:
     return out
 
 
-def _submasks(mask: int) -> Iterator[int]:
-    """Every submask of `mask`, from `mask` itself down to 0."""
-    sub = mask
+def _canonical(top: int) -> Iterator[int]:
+    """Every submask of `top` in canonical order (lexicographic on sorted atom
+    ids), with no sort: each next one adds top's next atom above the highest,
+    or, if that was top's highest, drops it and moves the new highest up."""
+    sub = 0
     while True:
         yield sub
-        if not sub:
-            return
-        sub = (sub - 1) & mask
+        n = sub.bit_length()
+        if not top >> n:  # sub holds top's highest atom, or top is 0
+            sub ^= 1 << n >> 1
+            n = sub.bit_length()
+            if not n:
+                return
+            sub ^= 1 << n - 1
+        above = top >> n << n
+        sub |= above & -above
 
 
 def _weighted_sum(weights: Sequence[ExtRational], mask: int) -> ExtRational:

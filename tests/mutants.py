@@ -692,9 +692,15 @@ MUTANTS = {
         "_joins_certified(image)",
         SHORTCUT,
     ),
-    # the table is filled in submask order, from top down
-    "witnesses-in-submask-order": Mutant(
-        malg.maps, "check_hom_laws", "sorted(image, key=_ids)", "image", SHORTCUT
+    # the one generator of canonical order that fills its table: every
+    # atom above the highest added at once, so submasks go missing; and
+    # each submask's complement in its place, the same set in another
+    # order, so witnesses are named in the wrong order
+    "canonical-adds-all-atoms-above": Mutant(
+        malg.spaces, "_canonical", "sub |= above & -above", "sub |= above", SHORTCUT
+    ),
+    "canonical-yields-complements": Mutant(
+        malg.spaces, "_canonical", "yield sub", "yield sub ^ top", SHORTCUT
     ),
 }
 

@@ -698,6 +698,21 @@ def test_check_hom_laws_apply_once_per_element():
     ]
 
 
+def test_check_hom_laws_scans_complements_once(monkeypatch):
+    # one table in one order: a hom that breaks a law is not re-scanned
+    # to name its witnesses
+    scans = []
+    scan = malg.maps._uncomplemented
+    monkeypatch.setattr(
+        malg.maps, "_uncomplemented", lambda *args: scans.append(args) or scan(*args)
+    )
+    space = make_space(["a", "b", "c"], [["a"], ["b"], ["c"]], [1, 2, 3])
+    hom = induced_homomorphism(identity_map(space))
+    assert check_hom_laws(hom).ok
+    assert not check_hom_laws(_WrongOnPair(hom.domain, hom.codomain, hom.atom_masks)).ok
+    assert len(scans) == 2
+
+
 def test_swapped_images_still_lawful(s2):
     # permuting a disjoint cover is again a homomorphism, so a pure swap
     # is undetectable by the law checker (it fails functor checks instead)

@@ -164,7 +164,7 @@ def test_point_oracle_reads_no_library_preimage():
     }
     library = {
         "_join", "induced_homomorphism", "apply", "pushforward", "make_map", "_mask",
-        "lipschitz_bruteforce", "_submasks", "_ids", "mu_bar", "rho", "fin_elements",
+        "lipschitz_bruteforce", "_canonical", "_ids", "mu_bar", "rho", "fin_elements",
         "all_elements",
     }
     for name, body in _functions(_parsed(TESTS / "helpers.py"), oracle).items():
@@ -197,6 +197,37 @@ def test_join_walk_lives_in_spaces():
             if isinstance(loop, ast.While):
                 stripped = [n for n in ast.walk(loop) if _strips_lowest_bit(n)]
                 assert not stripped, f"{name}:{loop.lineno} walks a mask's atoms itself"
+
+
+def _steps_to_lower_submask(node) -> bool:
+    """Whether `node` is `(x - 1) & m`, either way round, for an m other
+    than x: one step of a walk down the submasks of m."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitAnd)):
+        return False
+    return any(
+        isinstance(step, ast.BinOp)
+        and isinstance(step.op, ast.Sub)
+        and ast.unparse(step.right) == "1"
+        and ast.unparse(step.left) != ast.unparse(mask)
+        for step, mask in ((node.left, node.right), (node.right, node.left))
+    )
+
+
+def test_submasks_have_one_order():
+    # spaces._canonical yields a mask's submasks in canonical order, the
+    # one order of elements and witnesses, so no module sorts masks by
+    # _ids, and none but spaces.py walks submasks in an order of its own
+    for name, tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and ast.unparse(node.func).rpartition(".")[2] in (
+                "sorted", "sort"
+            ):
+                keys = [ast.unparse(k.value) for k in node.keywords if k.arg == "key"]
+                assert keys != ["_ids"], f"{name}:{node.lineno} sorts by _ids"
+            if name != "spaces.py":
+                assert not _steps_to_lower_submask(node), (
+                    f"{name}:{node.lineno} walks submasks itself"
+                )
 
 
 def test_library_reads_preimage_masks_only():

@@ -1,6 +1,8 @@
 """Spaces: construction, canonical order, measure, set algebra."""
 
+import random
 from fractions import Fraction
+from itertools import combinations, islice
 
 import pytest
 
@@ -23,6 +25,7 @@ from malg import (
     mu_bar,
     project,
 )
+from malg.spaces import _canonical
 
 
 def measure(space, mset):
@@ -210,3 +213,24 @@ def test_space_equality_and_hash(s1):
     elements = [build_algebra(sp).element([0]) for sp in (s1, twin)]
     assert hash(elements[0]) == hash(elements[1])
     assert len({*elements, build_algebra(s1).element([1])}) == 2
+
+
+def _canonical_reference(top):
+    """The submasks of `top` as id tuples read off by bit tests, sorted."""
+    ids = [i for i in range(top.bit_length()) if top >> i & 1]
+    subsets = sorted(c for r in range(len(ids) + 1) for c in combinations(ids, r))
+    return [sum(1 << i for i in c) for c in subsets]
+
+
+def test_canonical_submasks_match_sorted_combinations():
+    # every mask of up to 10 atoms, gaps included, and random 13-bit ones
+    rng = random.Random(35)
+    tops = [*range(1 << 10), *(rng.getrandbits(13) for _ in range(40)), 0]
+    for top in tops:
+        assert list(_canonical(top)) == _canonical_reference(top), bin(top)
+
+
+def test_canonical_submasks_need_no_recursion():
+    # the 4,001st submask of 5,000 atoms is the first 4,000 atoms
+    nth = next(islice(_canonical((1 << 5000) - 1), 4000, None))
+    assert nth == (1 << 4000) - 1
