@@ -42,7 +42,15 @@ from .errors import (
     UnknownPoint,
 )
 from .rationals import ExtRational, to_fraction
-from .spaces import FiniteMeasureSpace, _canonical, _ids, _join, _require, _weighted_sum
+from .spaces import (
+    FiniteMeasureSpace,
+    _atom_id,
+    _canonical,
+    _ids,
+    _join,
+    _require,
+    _weighted_sum,
+)
 
 
 class MeasurableMap:
@@ -52,7 +60,8 @@ class MeasurableMap:
     if it is not total on the source points or hits labels outside the
     target, NotMeasurable if a target atom's preimage splits a source atom;
     every label is checked before any atom. Each target atom's preimage is
-    kept as a mask of source atoms, and `point_fn` as a copy.
+    kept as a mask of source atoms, and `point_fn`, a mapping or an
+    iterable of (point, image) pairs, as one dict built from it.
     """
 
     __slots__ = ("source", "target", "point_fn", "_preimage_masks")
@@ -134,15 +143,16 @@ def make_map(
 
 def identity_map(space: FiniteMeasureSpace) -> MeasurableMap:
     """The identity on `space`, checked like every other map."""
-    return MeasurableMap(space, space, dict(zip(space.points, space.points)))
+    return MeasurableMap(space, space, zip(space.points, space.points))
 
 
 def compose(g: MeasurableMap, f: MeasurableMap) -> MeasurableMap:
     """The composite `g after f`; requires f's target to equal g's source."""
     if f.target != g.source:
         raise SpaceMismatch("f's target differs from g's source")
-    fn = {p: g.point_fn[f.point_fn[p]] for p in f.source.points}
-    return make_map(f.source, g.target, fn)
+    f_fn, g_fn = f.point_fn, g.point_fn
+    fn = {p: g_fn[f_fn[p]] for p in f.source.points}
+    return MeasurableMap(f.source, g.target, fn)
 
 
 def pushforward(phi: MeasurableMap) -> tuple[ExtRational, ...]:
@@ -201,6 +211,12 @@ class BooleanHom:
     Determined by its values on atoms of the domain, held as int masks:
     `atom_masks[b]` is the codomain atom mask of atom b's image. Applying
     it to an element takes the join of its atoms' images.
+
+    The constructor copies `atom_masks` once and checks the copy in one
+    pass: each key is a non-null domain atom and each mask exactly an int,
+    and the union of the masks is non-negative and inside the codomain's
+    top. Only a table that fails is walked again, by `_refuse_masks`, to
+    name its first fault.
     """
 
     __slots__ = ("domain", "codomain", "atom_masks")
@@ -215,23 +231,27 @@ class BooleanHom:
     ):
         _require(domain, MeasureAlgebra, "a hom's domain")
         _require(codomain, MeasureAlgebra, "a hom's codomain")
-        if sorted(atom_masks) != list(domain.nonnull_atoms):
-            raise ValueError("atom_masks must cover exactly the domain atoms")
-        outside = ~codomain._top
-        for mask in atom_masks.values():
-            if type(mask) is not int:
-                raise TypeError(f"an atom image mask must be an int, not {mask!r}")
-            # a negative mask has infinitely many bits: _ids would never stop on it
-            if mask < 0 or mask & outside:
-                raise ValueError(
-                    f"atom image mask {mask:#b} has null or out-of-range atoms"
-                )
+        masks = dict(atom_masks)
+        union, fits = 0, False
+        for b, mask in masks.items():
+            if type(b) is not int or type(mask) is not int:
+                break
+            union |= mask
+        else:
+            atoms = domain.nonnull_atoms
+            fits = (
+                (tuple(masks) == atoms or sorted(masks) == list(atoms))
+                and union >= 0
+                and not union & ~codomain._top
+            )
+        if not fits:
+            _refuse_masks(domain, codomain, masks)
         self.domain = domain
         self.codomain = codomain
-        self.atom_masks = dict(atom_masks)
+        self.atom_masks = masks
 
     def apply(self, elem: AlgebraElement) -> AlgebraElement:
-        if elem.algebra != self.domain:
+        if elem.algebra is not self.domain and elem.algebra != self.domain:
             raise ForeignElement("element is not in the hom's domain algebra")
         return AlgebraElement(self.codomain, _join(self.atom_masks, elem.mask))
 
@@ -248,20 +268,64 @@ class BooleanHom:
         return f"BooleanHom({len(self.atom_masks)} atom images)"
 
 
-def induced_homomorphism(phi: MeasurableMap) -> BooleanHom:
+def _refuse_masks(domain: MeasureAlgebra, codomain: MeasureAlgebra, masks: dict) -> None:
+    """Raise the first fault of a hom's atom masks: each key in turn, then
+    the key set, then each mask in turn, its type before its range."""
+    for b in masks:
+        _atom_id(b)
+    if sorted(masks) != list(domain.nonnull_atoms):
+        raise ValueError("atom_masks must cover exactly the domain atoms")
+    outside = ~codomain._top
+    for mask in masks.values():
+        if type(mask) is not int:
+            raise TypeError(f"an atom image mask must be an int, not {mask!r}")
+        # a negative mask has infinitely many bits: _ids would never stop on it
+        if mask < 0 or mask & outside:
+            raise ValueError(
+                f"atom image mask {mask:#b} has null or out-of-range atoms"
+            )
+
+
+def _check_algebra(algebra, space: FiniteMeasureSpace, side: str, end: str) -> None:
+    """TypeError unless `algebra` is a MeasureAlgebra, SpaceMismatch unless
+    its space equals `space`, the map's `end`."""
+    if _require(algebra, MeasureAlgebra, f"a hom's {side}").space != space:
+        raise SpaceMismatch(f"the {side} is not the algebra of the map's {end}")
+
+
+def induced_homomorphism(
+    phi: MeasurableMap,
+    *,
+    domain: Optional[MeasureAlgebra] = None,
+    codomain: Optional[MeasureAlgebra] = None,
+) -> BooleanHom:
     """The contravariant hom from the target algebra to the source algebra.
 
     Exists exactly when the map is inverse-nil-preserving; raises
     NotInverseNilPreserving otherwise. Each non-null target atom goes to
-    the mask of its preimage with the null source atoms dropped. An
-    endomorphism's hom has one algebra on both sides.
+    the mask of its preimage with the null source atoms dropped.
+
+    `domain` and `codomain`, when given, must be the algebras of the map's
+    target and source (SpaceMismatch otherwise), so a caller that builds
+    several homs over the same spaces builds each algebra once; an algebra
+    not given is built. An endomorphism's hom has its domain on both sides.
     """
     if not is_inverse_nil_preserving(phi):
         raise NotInverseNilPreserving(
             "map pushes positive mass onto a null target atom"
         )
-    domain = build_algebra(phi.target)
-    codomain = domain if phi.source is phi.target else build_algebra(phi.source)
+    if domain is None:
+        domain = build_algebra(phi.target)
+    elif not isinstance(domain, MeasureAlgebra) or domain.space is not phi.target:
+        _check_algebra(domain, phi.target, "domain", "target")
+    if codomain is not None and (
+        not isinstance(codomain, MeasureAlgebra) or codomain.space is not phi.source
+    ):
+        _check_algebra(codomain, phi.source, "codomain", "source")
+    if phi.source is phi.target:
+        codomain = domain
+    elif codomain is None:
+        codomain = build_algebra(phi.source)
     pre, top = phi._preimage_masks, codomain._top
     return BooleanHom(domain, codomain, {b: pre[b] & top for b in domain.nonnull_atoms})
 

@@ -33,10 +33,20 @@ def _require(value, kind: type, role: str):
 # Atom bitmask helpers (bit i stands for atom i), shared across the package.
 
 
+def _atom_id(i) -> int:
+    """`i` if it is an atom id: TypeError unless it is exactly an int (a
+    bool or a float is not), ValueError if it is negative."""
+    if type(i) is not int:
+        raise TypeError(f"an atom id must be an int, not {i!r}")
+    if i < 0:
+        raise ValueError(f"an atom id is never negative, got {i}")
+    return i
+
+
 def _mask(ids: Iterable[int]) -> int:
     mask = 0
     for i in ids:
-        mask |= 1 << i
+        mask |= 1 << _atom_id(i)
     return mask
 
 

@@ -110,7 +110,9 @@ METRIC_MAP = {
 
 # Atom masks for the hom of phi (non-null atoms 0 and 1 into a codomain
 # with top 0b011), each bad in one way or, as the first two, in two; the
-# first bad mask in order is named, as a check of each mask in turn names it
+# first bad mask in order is named, as a check of each mask in turn names
+# it. The last two have a bad key: a bool equal to atom 1, and an atom
+# that is not in the domain.
 BAD_ATOM_MASKS = (
     {0: -1, 1: 3.0},
     {0: 3.0, 1: -1},
@@ -118,6 +120,8 @@ BAD_ATOM_MASKS = (
     {0: 0b111, 1: 0},
     {0: 0b100, 1: 0},  # the null atom alone: no bit inside top
     {0: 0b011, 1: 0b1000},
+    {0: 0b011, True: 0},
+    {0: 0b011, 2: 0},
 )
 
 
@@ -247,10 +251,10 @@ def _lowest_atom_only(elem):
     return mu_bar(AlgebraElement(elem.algebra, elem.mask & -elem.mask))
 
 
-def _drop_lowest_image_atom(phi):
+def _drop_lowest_image_atom(phi, **algebras):
     # the images stay disjoint, so fast and the oracle still agree with
-    # each other
-    return drop_lowest_image_atom(induced_homomorphism(phi))
+    # each other; the algebras a caller passes are forwarded
+    return drop_lowest_image_atom(induced_homomorphism(phi, **algebras))
 
 
 # --- the observers, cheapest first -----------------------------------------
@@ -518,8 +522,9 @@ MUTANTS = {
     # The functor-law path's one-pass builders: MeasurableMap's preimage
     # masks, induced_homomorphism's atom masks and INP guard, the loop of
     # FiniteMeasureSpace.__init__ that sorts the atoms into the classes
-    # every algebra copies (nonnull_atoms, fin_atoms, _top and _fin), and
-    # BooleanHom.__init__'s check of each mask. Seen by BAD_ATOM_MASKS,
+    # every algebra copies (nonnull_atoms, fin_atoms, _top and _fin),
+    # BooleanHom.__init__'s one-pass check, and _refuse_masks, which names
+    # the first fault of a table that fails it. Seen by BAD_ATOM_MASKS,
     # functor-check, the point preimages of the 400 seed-0 random maps and
     # theorem-check.
     # every preimage of the worked example has at most two atoms, and the
@@ -584,30 +589,45 @@ MUTANTS = {
         malg.spaces.FiniteMeasureSpace, "__init__", "fin_mask |= bit", "fin_mask &= bit",
         HOM,
     ),
-    "hom-type-check-flipped": Mutant(
+    # the one pass's key checks and its range check on the union: each
+    # dropped, a table with a bad key or mask is accepted
+    "hom-key-type-check-dropped": Mutant(
+        malg.maps.BooleanHom, "__init__", "type(b) is not int or ", "", HOM
+    ),
+    "hom-key-set-check-dropped": Mutant(
         malg.maps.BooleanHom,
         "__init__",
+        "(tuple(masks) == atoms or sorted(masks) == list(atoms))",
+        "True",
+        HOM,
+    ),
+    "hom-union-range-check-dropped": Mutant(
+        malg.maps.BooleanHom, "__init__", "and not union & ~codomain._top", "", HOM
+    ),
+    "hom-type-check-flipped": Mutant(
+        malg.maps,
+        "_refuse_masks",
         "if type(mask) is not int:",
         "if type(mask) is int:",
         HOM,
     ),
     "hom-range-check-as-meet": Mutant(
-        malg.maps.BooleanHom,
-        "__init__",
+        malg.maps,
+        "_refuse_masks",
         "outside = ~codomain._top",
         "outside = codomain._top",
         HOM,
     ),
     "hom-checks-joined-by-and": Mutant(
-        malg.maps.BooleanHom,
-        "__init__",
+        malg.maps,
+        "_refuse_masks",
         "mask < 0 or mask & outside",
         "mask < 0 and mask & outside",
         HOM,
     ),
     "hom-sign-check-dropped": Mutant(
-        malg.maps.BooleanHom,
-        "__init__",
+        malg.maps,
+        "_refuse_masks",
         "if mask < 0 or mask & outside:",
         "if mask & outside:",
         HOM,

@@ -199,6 +199,21 @@ def test_masks_and_derived_views(s1):
             MeasurableSet(s1, bad)
 
 
+def test_atom_ids_are_exactly_non_negative_ints(s1):
+    # the ids given to atom_set and element follow the mask rule: no bool
+    # (False and True would pass for atoms 0 and 1), no float, no Fraction,
+    # and no negative id (a shift by it would fail deep inside)
+    alg = build_algebra(s1)
+    for make in (s1.atom_set, alg.element):
+        cases = (([False, True], "False"), ([0, 1.0], "1.0"), ([Fraction(1)], "Fraction"))
+        for ids, named in cases:
+            with pytest.raises(TypeError, match=f"atom id must be an int, not {named}"):
+                make(ids)
+        with pytest.raises(ValueError, match="atom id is never negative, got -1"):
+            make([0, -1])
+        assert make([0, 1]).mask == 0b011
+
+
 def test_sets_and_elements_stay_apart(s1):
     # the two classes share their mask code, not their identity: equal masks
     # on one space still give a set and an element that never compare equal

@@ -26,6 +26,7 @@ from malg import (
     MorphismClassification,
     NotInverseNilPreserving,
     NotMeasurable,
+    SpaceMismatch,
     UnknownPoint,
     build_algebra,
     check_hom_laws,
@@ -269,6 +270,31 @@ def test_induced_homomorphism_requires_inp(psi):
         induced_homomorphism(psi)
 
 
+def test_induced_homomorphism_takes_the_algebras_of_its_spaces(phi, s1, s2):
+    # given algebras are used as they are; an algebra of another space is
+    # refused, and an endomorphism's hom has its domain on both sides
+    a1, a2 = build_algebra(s1), build_algebra(s2)
+    hom = induced_homomorphism(phi, domain=a2, codomain=a1)
+    assert hom.domain is a2 and hom.codomain is a1
+    assert hom == induced_homomorphism(phi)
+    twin = make_space(["q1", "q2"], [["q1"], ["q2"]], [1, 2])
+    assert induced_homomorphism(phi, domain=build_algebra(twin)) == hom
+    with pytest.raises(SpaceMismatch, match="domain is not the algebra of the map's target"):
+        induced_homomorphism(phi, domain=a1)
+    with pytest.raises(SpaceMismatch, match="codomain is not the algebra of the map's source"):
+        induced_homomorphism(phi, domain=a2, codomain=a2)
+    with pytest.raises(TypeError, match="a hom's domain must be a MeasureAlgebra"):
+        induced_homomorphism(phi, domain=s2)
+    with pytest.raises(TypeError):
+        induced_homomorphism(phi, a2, a1)  # the algebras are keyword-only
+    ident = identity_map(s2)
+    for given in ({"domain": a2}, {"domain": a2, "codomain": build_algebra(s2)}):
+        hom = induced_homomorphism(ident, **given)
+        assert hom.domain is a2 and hom.codomain is a2
+    with pytest.raises(SpaceMismatch, match="codomain"):
+        induced_homomorphism(ident, domain=a2, codomain=a1)
+
+
 def test_hom_apply(phi):
     hom = induced_homomorphism(phi)
     dom = hom.domain
@@ -305,9 +331,19 @@ def test_boolean_hom_rejects_bad_masks(phi):
     with pytest.raises(ValueError, match="mask 0b111 has null"):
         BooleanHom(dom, cod, {0: 0b111, 1: True})
     # the keys are exactly the domain's non-null atoms
-    for keys in ((0,), (0, 1, 2), (1, 2)):
+    for keys in ((0,), (0, 1, 2), (1, 2), (0, 10**100)):
         with pytest.raises(ValueError, match="cover exactly"):
             BooleanHom(dom, cod, dict.fromkeys(keys, 0))
+    # and each key is an atom id, exactly a non-negative int: a float or a
+    # bool equal to an atom is refused, and named before any bad mask
+    for bad in ({0: 0b011, 1.0: 0}, {0.0: 0b011, 1: 0}, {0: 0b011, True: 0}):
+        key = [b for b in bad if type(b) is not int][0]
+        with pytest.raises(TypeError, match=f"atom id must be an int, not {key!r}"):
+            BooleanHom(dom, cod, bad)
+    with pytest.raises(TypeError, match="atom id must be an int, not 1.0"):
+        BooleanHom(dom, cod, {0: 3.0, 1.0: -1})
+    with pytest.raises(ValueError, match="atom id is never negative, got -1"):
+        BooleanHom(dom, cod, {0: 0b011, -1: 0})
     # a domain with a null atom: its key is refused too
     back = induced_homomorphism(identity_map(phi.source))
     assert list(back.atom_masks) == [0, 1]
