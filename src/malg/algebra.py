@@ -22,6 +22,7 @@ from .spaces import (
     FiniteMeasureSpace,
     MeasurableSet,
     _AtomMask,
+    _atom_id,
     _canonical,
     _ids,
     _mask,
@@ -48,7 +49,7 @@ class MeasureAlgebra:
         self._fin = space._fin_mask
 
     def element(self, atom_ids: Iterable[int]) -> "AlgebraElement":
-        return AlgebraElement(self, _mask(atom_ids))
+        return AlgebraElement(self, _mask(atom_ids, self.space.n_atoms))
 
     def all_elements(self) -> list["AlgebraElement"]:
         """Every element, in canonical order (lexicographic on sorted ids)."""
@@ -110,7 +111,7 @@ class L1Function:
     def __init__(self, space: FiniteMeasureSpace, coefficients: Mapping[int, Fraction]):
         _require(space, FiniteMeasureSpace, "a function's space")
         expected = list(space.nonnull_atom_ids)
-        if sorted(coefficients) != expected:
+        if sorted(map(_atom_id, coefficients)) != expected:
             raise ValueError(
                 f"coefficients must cover exactly the non-null atoms {expected}"
             )

@@ -286,46 +286,20 @@ def _refuse_masks(domain: MeasureAlgebra, codomain: MeasureAlgebra, masks: dict)
             )
 
 
-def _check_algebra(algebra, space: FiniteMeasureSpace, side: str, end: str) -> None:
-    """TypeError unless `algebra` is a MeasureAlgebra, SpaceMismatch unless
-    its space equals `space`, the map's `end`."""
-    if _require(algebra, MeasureAlgebra, f"a hom's {side}").space != space:
-        raise SpaceMismatch(f"the {side} is not the algebra of the map's {end}")
-
-
-def induced_homomorphism(
-    phi: MeasurableMap,
-    *,
-    domain: Optional[MeasureAlgebra] = None,
-    codomain: Optional[MeasureAlgebra] = None,
-) -> BooleanHom:
+def induced_homomorphism(phi: MeasurableMap) -> BooleanHom:
     """The contravariant hom from the target algebra to the source algebra.
 
     Exists exactly when the map is inverse-nil-preserving; raises
     NotInverseNilPreserving otherwise. Each non-null target atom goes to
-    the mask of its preimage with the null source atoms dropped.
-
-    `domain` and `codomain`, when given, must be the algebras of the map's
-    target and source (SpaceMismatch otherwise), so a caller that builds
-    several homs over the same spaces builds each algebra once; an algebra
-    not given is built. An endomorphism's hom has its domain on both sides.
+    the mask of its preimage with the null source atoms dropped. An
+    endomorphism's hom has one algebra on both sides.
     """
     if not is_inverse_nil_preserving(phi):
         raise NotInverseNilPreserving(
             "map pushes positive mass onto a null target atom"
         )
-    if domain is None:
-        domain = build_algebra(phi.target)
-    elif not isinstance(domain, MeasureAlgebra) or domain.space is not phi.target:
-        _check_algebra(domain, phi.target, "domain", "target")
-    if codomain is not None and (
-        not isinstance(codomain, MeasureAlgebra) or codomain.space is not phi.source
-    ):
-        _check_algebra(codomain, phi.source, "codomain", "source")
-    if phi.source is phi.target:
-        codomain = domain
-    elif codomain is None:
-        codomain = build_algebra(phi.source)
+    domain = build_algebra(phi.target)
+    codomain = domain if phi.source is phi.target else build_algebra(phi.source)
     pre, top = phi._preimage_masks, codomain._top
     return BooleanHom(domain, codomain, {b: pre[b] & top for b in domain.nonnull_atoms})
 

@@ -15,7 +15,6 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .algebra import MeasureAlgebra, build_algebra
 from .errors import (
     ArityMismatch,
     ForeignElement,
@@ -236,12 +235,9 @@ def composition_law_violations(
     return []
 
 
-def identity_law_violations(
-    space: FiniteMeasureSpace, algebra: Optional[MeasureAlgebra] = None
-) -> list[LawViolation]:
-    """The hom induced by the identity map must send each atom to itself.
-    `algebra`, when given, is the space's algebra, on both sides of the hom."""
-    hom = induced_homomorphism(identity_map(space), domain=algebra)
+def identity_law_violations(space: FiniteMeasureSpace) -> list[LawViolation]:
+    """The hom induced by the identity map must send each atom to itself."""
+    hom = induced_homomorphism(identity_map(space))
     for b in hom.domain.nonnull_atoms:
         image = hom.atom_masks[b]
         if image != 1 << b:
@@ -264,35 +260,23 @@ def contravariance_check(f: MeasurableMap, g: MeasurableMap) -> LawReport:
     they agree on every atom. On homs the library induced, a violation
     means a library fault; its witness is the lowest failing atom.
 
-    One algebra is built for each distinct space object among f's source,
-    f's target and g's target, and every hom of the check shares it.
-
     Requires f and g (hence g after f) to be inverse-nil-preserving;
     raises NotInverseNilPreserving otherwise, SpaceMismatch when the pair
     does not compose.
     """
     gf = compose(g, f)
-    src = build_algebra(f.source)
-    mid = src if f.target is f.source else build_algebra(f.target)
-    tgt = (
-        src if g.target is f.source
-        else mid if g.target is f.target
-        else build_algebra(g.target)
-    )
     homs = []
-    for name, m, domain, codomain in (
-        ("f", f, mid, src), ("g", g, tgt, mid), ("g after f", gf, tgt, src)
-    ):
+    for name, m in (("f", f), ("g", g), ("g after f", gf)):
         try:
-            homs.append(induced_homomorphism(m, domain=domain, codomain=codomain))
+            homs.append(induced_homomorphism(m))
         except NotInverseNilPreserving:
             raise NotInverseNilPreserving(
                 f"{name} is not inverse-nil-preserving"
             ) from None
     hom_f, hom_g, hom_gf = homs
     violations = composition_law_violations(hom_gf, hom_f, hom_g)
-    for space, algebra in ((f.source, src), (f.target, mid), (g.target, tgt)):
-        violations.extend(identity_law_violations(space, algebra))
+    for space in (f.source, f.target, g.target):
+        violations.extend(identity_law_violations(space))
     return LawReport(tuple(violations))
 
 

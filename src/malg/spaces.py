@@ -43,10 +43,14 @@ def _atom_id(i) -> int:
     return i
 
 
-def _mask(ids: Iterable[int]) -> int:
+def _mask(ids: Iterable[int], n_atoms: int) -> int:
+    """The mask of `ids`, atom ids of an owner with `n_atoms` atoms; an id at
+    or above that count raises ValueError naming it, before any shift."""
     mask = 0
     for i in ids:
-        mask |= 1 << _atom_id(i)
+        if _atom_id(i) >= n_atoms:
+            raise ValueError(f"atom id {i} is out of range for {n_atoms} atoms")
+        mask |= 1 << i
     return mask
 
 
@@ -201,7 +205,7 @@ class FiniteMeasureSpace:
         return self._fin_mask == self._nonnull_mask
 
     def atom_set(self, atom_ids: Iterable[int]) -> "MeasurableSet":
-        return MeasurableSet(self, _mask(atom_ids))
+        return MeasurableSet(self, _mask(atom_ids, self.n_atoms))
 
     def __eq__(self, other) -> bool:
         if self is other:

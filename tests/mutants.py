@@ -251,10 +251,10 @@ def _lowest_atom_only(elem):
     return mu_bar(AlgebraElement(elem.algebra, elem.mask & -elem.mask))
 
 
-def _drop_lowest_image_atom(phi, **algebras):
+def _drop_lowest_image_atom(phi):
     # the images stay disjoint, so fast and the oracle still agree with
-    # each other; the algebras a caller passes are forwarded
-    return drop_lowest_image_atom(induced_homomorphism(phi, **algebras))
+    # each other
+    return drop_lowest_image_atom(induced_homomorphism(phi))
 
 
 # --- the observers, cheapest first -----------------------------------------

@@ -211,6 +211,12 @@ def test_atom_ids_are_exactly_non_negative_ints(s1):
                 make(ids)
         with pytest.raises(ValueError, match="atom id is never negative, got -1"):
             make([0, -1])
+        # an id at or above the atom count is refused before any shift, with
+        # a message that names the id rather than a mask of that many bits
+        for big in (s1.n_atoms, 2**20):
+            with pytest.raises(ValueError) as info:
+                make([0, big])
+            assert str(info.value) == f"atom id {big} is out of range for 3 atoms"
         assert make([0, 1]).mask == 0b011
 
 
@@ -378,6 +384,12 @@ def test_l1_function_validates_coefficient_keys(s1):
     assert f.coefficients == {0: Fraction(-1, 2), 1: Fraction(3)}
     with pytest.raises(TypeError):
         L1Function(s1, {0: 0.5, 1: 1})
+    # a key is an atom id: 0.0 == 0 and True == 1 would pass a key-set check
+    for coefficients, named in (
+        ({0.0: 1, True: 2}, "0.0"), ({0: 1, True: 2}, "True"), ({0: 1, 1.0: 2}, "1.0")
+    ):
+        with pytest.raises(TypeError, match=f"atom id must be an int, not {named}"):
+            L1Function(s1, coefficients)
     with pytest.raises(ValueError):
         L1Function(s1, {0: "1e5000", 1: 1})
 

@@ -26,7 +26,6 @@ from malg import (
     MorphismClassification,
     NotInverseNilPreserving,
     NotMeasurable,
-    SpaceMismatch,
     UnknownPoint,
     build_algebra,
     check_hom_laws,
@@ -268,31 +267,6 @@ def test_induced_homomorphism(phi, s2):
 def test_induced_homomorphism_requires_inp(psi):
     with pytest.raises(NotInverseNilPreserving):
         induced_homomorphism(psi)
-
-
-def test_induced_homomorphism_takes_the_algebras_of_its_spaces(phi, s1, s2):
-    # given algebras are used as they are; an algebra of another space is
-    # refused, and an endomorphism's hom has its domain on both sides
-    a1, a2 = build_algebra(s1), build_algebra(s2)
-    hom = induced_homomorphism(phi, domain=a2, codomain=a1)
-    assert hom.domain is a2 and hom.codomain is a1
-    assert hom == induced_homomorphism(phi)
-    twin = make_space(["q1", "q2"], [["q1"], ["q2"]], [1, 2])
-    assert induced_homomorphism(phi, domain=build_algebra(twin)) == hom
-    with pytest.raises(SpaceMismatch, match="domain is not the algebra of the map's target"):
-        induced_homomorphism(phi, domain=a1)
-    with pytest.raises(SpaceMismatch, match="codomain is not the algebra of the map's source"):
-        induced_homomorphism(phi, domain=a2, codomain=a2)
-    with pytest.raises(TypeError, match="a hom's domain must be a MeasureAlgebra"):
-        induced_homomorphism(phi, domain=s2)
-    with pytest.raises(TypeError):
-        induced_homomorphism(phi, a2, a1)  # the algebras are keyword-only
-    ident = identity_map(s2)
-    for given in ({"domain": a2}, {"domain": a2, "codomain": build_algebra(s2)}):
-        hom = induced_homomorphism(ident, **given)
-        assert hom.domain is a2 and hom.codomain is a2
-    with pytest.raises(SpaceMismatch, match="codomain"):
-        induced_homomorphism(ident, domain=a2, codomain=a1)
 
 
 def test_hom_apply(phi):

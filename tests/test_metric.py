@@ -426,10 +426,10 @@ def test_lawful_contravariance_check_builds_no_element(monkeypatch):
 
 
 def test_contravariance_check_shares_an_endomorphism_algebra(monkeypatch, phi, s1, s2, s3):
-    # one algebra for each distinct space object, in the order f's source,
-    # f's target, g's target, shared by the pair's three homs and the three
-    # identity homs: three for phi and g, and one for a pair of identities
-    # on one space
+    # each hom builds the algebras of its target and source, and one for
+    # both when the map's source is its target: two for each of the pair's
+    # three homs and one for each identity law over three spaces, and one
+    # for each of the six homs of a pair of endomorphisms
     built = []
     original = MeasureAlgebra.__init__
 
@@ -440,10 +440,10 @@ def test_contravariance_check_shares_an_endomorphism_algebra(monkeypatch, phi, s
     monkeypatch.setattr(MeasureAlgebra, "__init__", counting_init)
     g = make_map(s2, s3, {"q1": "r2", "q2": "r1"})
     assert contravariance_check(phi, g).ok
-    assert built == [s1, s2, s3]
+    assert built == [s2, s1, s3, s2, s3, s1, s1, s2, s3]
     built.clear()
     assert contravariance_check(identity_map(s2), identity_map(s2)).ok
-    assert built == [s2]
+    assert built == [s2] * 6
 
 
 def test_corrupted_hom_fails_contravariance(phi, s2):
@@ -545,8 +545,8 @@ def test_composition_atom_check_matches_walk(corrupt):
     "corrupt", [None, _swap_lowest_actions, drop_lowest_image_atom]
 )
 def test_identity_atom_check_matches_walk(monkeypatch, fixture_spaces, corrupt):
-    def induced(phi, **algebras):
-        hom = induced_homomorphism(phi, **algebras)
+    def induced(phi):
+        hom = induced_homomorphism(phi)
         return hom if corrupt is None else corrupt(hom)
 
     monkeypatch.setattr(malg.metric, "induced_homomorphism", induced)

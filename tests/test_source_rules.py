@@ -279,7 +279,9 @@ def test_no_unused_imports():
 def test_functor_checks_build_their_maps_and_homs():
     # the identity law goes through identity_map and induced_homomorphism,
     # and the composition law through compose: that path is what catches
-    # a faulty induced hom, so no speed-up may answer either law without it
+    # a faulty induced hom, so no speed-up may answer either law without it;
+    # metric.py builds no algebra, so induced_homomorphism is the one place
+    # that builds a hom's algebras
     tree = dict(_trees())["metric.py"]
     bodies = {
         node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)
@@ -291,6 +293,8 @@ def test_functor_checks_build_their_maps_and_homs():
     for name, calls in required.items():
         missing = calls - _called_names(bodies[name])
         assert not missing, f"metric.py {name} does not call {sorted(missing)}"
+    builds = _called_names(tree) & {"build_algebra", "MeasureAlgebra"}
+    assert not builds, f"metric.py calls {sorted(builds)}"
 
 
 def test_classification_holds_only_what_classify_measures():
