@@ -83,7 +83,7 @@ class AlgebraElement(_AtomMask):
     _owner_role = "an element's algebra"
     _expected = "expected an AlgebraElement"
     _type_message = "an element's atom mask must be an int, not {mask!r}"
-    _range_message = "atom mask {mask:#b} has null or out-of-range atoms"
+    _range_message = "atom mask has null or out-of-range atoms"
     _foreign = ForeignElement
     _foreign_message = "elements belong to different algebras"
     meet = _AtomMask.__and__

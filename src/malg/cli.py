@@ -22,6 +22,7 @@ import argparse
 import functools
 import hashlib
 import json
+import os
 import stat
 import sys
 from pathlib import Path
@@ -62,16 +63,17 @@ class _Loader:
         self.digests: dict[str, str] = {}
 
     def read_obj(self, path: str):
-        file = Path(path)
+        # the path is opened as given: a pathlib.Path would only parse it again
         try:
-            mode = file.stat().st_mode
-        except (OSError, ValueError):  # missing, or a NUL: read_bytes says which
+            mode = os.stat(path).st_mode
+        except (OSError, ValueError):  # missing, or a NUL: the open says which
             mode = stat.S_IFREG
         if not (stat.S_ISREG(mode) or stat.S_ISDIR(mode)):
             # a FIFO, socket or device: reading it may block or never end
             raise InvalidDocument(f"not a regular file: {path}")
         try:
-            data = file.read_bytes()
+            with open(path, "rb") as file:
+                data = file.read()
         except ValueError as exc:  # a path no file can have, e.g. with a NUL
             raise InvalidDocument(f"bad path {path!r}: {exc}") from None
         self.digests[path] = hashlib.sha256(data).hexdigest()
@@ -85,8 +87,9 @@ class _Loader:
     def load_map(self, path: str, obj=None):
         """Parse a map document; `obj` is the document if already read."""
         obj = self.read_obj(path) if obj is None else obj
-        base_dir = Path(path).parent
-        return obj_to_map(obj, lambda ref: self.read_obj(str(base_dir / ref)))
+        # a space reference resolves against the map's directory, and only
+        # a reference builds a Path
+        return obj_to_map(obj, lambda ref: self.read_obj(str(Path(path).parent / ref)))
 
 
 def _error_entry(path: Optional[str], exc: Exception) -> dict:
@@ -339,7 +342,8 @@ def main(argv=None) -> int:
     text = render(report, args.format)
     if args.output:
         try:
-            Path(args.output).write_text(text, encoding="utf-8")
+            with open(args.output, "w", encoding="utf-8") as out:
+                out.write(text)
         except (OSError, ValueError) as exc:  # ValueError: a path with a NUL byte
             print(f"malg: error: cannot write --output {args.output!r}: {exc}",
                   file=sys.stderr)

@@ -49,6 +49,7 @@ from .spaces import (
     _ids,
     _join,
     _require,
+    _stray,
     _weighted_sum,
 )
 
@@ -282,7 +283,8 @@ def _refuse_masks(domain: MeasureAlgebra, codomain: MeasureAlgebra, masks: dict)
         # a negative mask has infinitely many bits: _ids would never stop on it
         if mask < 0 or mask & outside:
             raise ValueError(
-                f"atom image mask {mask:#b} has null or out-of-range atoms"
+                "atom image mask has null or out-of-range atoms: "
+                + _stray(mask, outside)
             )
 
 

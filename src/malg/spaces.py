@@ -54,6 +54,15 @@ def _mask(ids: Iterable[int], n_atoms: int) -> int:
     return mask
 
 
+def _stray(mask: int, outside: int) -> str:
+    """Why a mask that meets `outside` is refused, in a few words: it is
+    negative, or it has an atom there, the highest named. The mask in
+    binary may run to millions of digits."""
+    if mask < 0:  # infinitely many bits, all but finitely many in `outside`
+        return "it is negative"
+    return f"it has atom {(mask & outside).bit_length() - 1}"
+
+
 def _ids(mask: int) -> tuple[int, ...]:
     """The set bits of `mask`, ascending."""
     out = []
@@ -237,7 +246,8 @@ class _AtomMask:
         _require(owner, self._owner_type, self._owner_role)
         # a negative mask has infinitely many bits: _ids would never stop on it
         if mask < 0 or mask & ~owner._top:
-            raise ValueError(self._range_message.format(mask=mask, owner=owner))
+            message = self._range_message.format(owner=owner)
+            raise ValueError(f"{message}: {_stray(mask, ~owner._top)}")
         self._owner = owner
         self.mask = mask
 
@@ -288,7 +298,7 @@ class MeasurableSet(_AtomMask):
     _owner_role = "a set's space"
     _expected = "expected a MeasurableSet"
     _type_message = "a set's atom mask must be an int, not {mask!r}"
-    _range_message = "atom mask {mask:#b} does not fit {owner.n_atoms} atoms"
+    _range_message = "atom mask does not fit {owner.n_atoms} atoms"
     _foreign = ForeignSet
     _foreign_message = "sets belong to different spaces"
     union = _AtomMask.__or__

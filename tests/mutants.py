@@ -370,6 +370,7 @@ class Mutant(NamedTuple):
     observers: tuple[str, ...]
     reason: Optional[str] = None  # why a survivor is equivalent
     alone: Optional[str] = None  # the route each violation shows alone
+    modules: Optional[tuple[str, ...]] = None  # plant only in these modules
 
 
 # The rows' observer sets. Each one is the kill criterion of the rows it
@@ -715,12 +716,19 @@ MUTANTS = {
     # the one generator of canonical order that fills its table: every
     # atom above the highest added at once, so submasks go missing; and
     # each submask's complement in its place, the same set in another
-    # order, so witnesses are named in the wrong order
+    # order, so witnesses are named in the wrong order. Planted everywhere,
+    # both also change the algebras' element lists that build the
+    # observer's homs; the order fault planted in malg.maps alone leaves
+    # those inputs as they are, so check_hom_laws itself must show it
     "canonical-adds-all-atoms-above": Mutant(
         malg.spaces, "_canonical", "sub |= above & -above", "sub |= above", SHORTCUT
     ),
     "canonical-yields-complements": Mutant(
         malg.spaces, "_canonical", "yield sub", "yield sub ^ top", SHORTCUT
+    ),
+    "canonical-yields-complements-in-maps": Mutant(
+        malg.spaces, "_canonical", "yield sub", "yield sub ^ top", SHORTCUT,
+        modules=("malg.maps",),
     ),
 }
 
@@ -736,7 +744,8 @@ def mutant_names(observers: tuple[str, ...]) -> list[str]:
 @contextmanager
 def _planted(row: Mutant):
     """The row's fault in its function's place: on the class that owns
-    the function, or in every malg module that binds it."""
+    the function, or in every malg module that binds it, or in those of
+    them the row names."""
     original = getattr(row.owner, row.function)
     if row.snippet is None:
         fault = row.replacement
@@ -747,8 +756,10 @@ def _planted(row: Mutant):
             patch.setattr(row.owner, row.function, fault)
         else:
             for name, module in sorted(sys.modules.items()):
-                if name.partition(".")[0] == "malg" and (
-                    getattr(module, row.function, None) is original
+                if (
+                    name.partition(".")[0] == "malg"
+                    and (row.modules is None or name in row.modules)
+                    and getattr(module, row.function, None) is original
                 ):
                     patch.setattr(module, row.function, fault)
         yield

@@ -1,6 +1,7 @@
 """Measure algebras: projection, mu-bar, rho, the L1 embedding."""
 
 import gc
+import json
 from fractions import Fraction
 from functools import partial
 from itertools import product
@@ -32,7 +33,12 @@ from malg import (
     rho,
 )
 
-from helpers import assert_table_matches_rho, fin_mask_elements, scaled_mass_table
+from helpers import (
+    assert_table_matches_rho,
+    fin_mask_elements,
+    python_child_output,
+    scaled_mass_table,
+)
 
 
 def test_build_algebra_sizes(s1, s2):
@@ -197,6 +203,47 @@ def test_masks_and_derived_views(s1):
             AlgebraElement(alg, bad)
         with pytest.raises(TypeError, match="must be an int"):
             MeasurableSet(s1, bad)
+
+
+# builds a 2-atom space's set, element and hom table from a mask of 2**24 + 1
+# bits and from its negation, and prints each refusal's type and message
+_HUGE_MASKS_CHILD = """
+import json
+from malg import AlgebraElement, BooleanHom, MeasurableSet, build_algebra, make_space
+space = make_space(["a", "b"], [["a"], ["b"]], [1, 1])
+alg = build_algebra(space)
+seen = []
+for mask in (1 << 2**24, -(1 << 2**24)):
+    for make in (
+        lambda: MeasurableSet(space, mask),
+        lambda: AlgebraElement(alg, mask),
+        lambda: BooleanHom(alg, alg, {0: mask, 1: 0}),
+    ):
+        try:
+            make()
+            seen.append("accepted")
+        except Exception as exc:
+            seen.append([type(exc).__name__, str(exc)])
+print(json.dumps(seen))
+"""
+
+
+def test_huge_mask_messages_are_short():
+    # a message naming the mask in binary would run to 16.7 million
+    # characters; it names the highest stray atom, or says "negative"
+    out = python_child_output(
+        ["-c", _HUGE_MASKS_CHILD], timeout=30, max_memory=256 << 20
+    )
+    seen = json.loads(out)
+    for kind in ("it has atom 16777216", "it is negative"):
+        assert seen[:3] == [
+            ["ValueError", f"atom mask does not fit 2 atoms: {kind}"],
+            ["ValueError", f"atom mask has null or out-of-range atoms: {kind}"],
+            ["ValueError", f"atom image mask has null or out-of-range atoms: {kind}"],
+        ]
+        assert all(len(message) < 200 for _, message in seen[:3])
+        seen = seen[3:]
+    assert seen == []
 
 
 def test_atom_ids_are_exactly_non_negative_ints(s1):

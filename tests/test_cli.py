@@ -1,5 +1,6 @@
 """CLI: exit codes, report shapes, determinism."""
 
+import errno
 import hashlib
 import json
 import os
@@ -339,11 +340,84 @@ def test_special_file_exits_2(phi, tmp_path, kind, referenced):
     out = python_child_output(
         ["-m", "malg", *argv], timeout=20, exit_code=2, max_memory=256 << 20
     )
-    results = json.loads(out)["results"]
+    report = json.loads(out)
+    results = report["results"]
     entry = results if referenced else results["files"][0]
     assert entry["error"] == "InvalidDocument"
     assert entry["file"] == file
     assert entry["detail"] == f"not a regular file: {special}"
+    # the special file is refused unread: only a map that names it is read
+    assert list(report["inputs"]) == ([file] if referenced else [])
+
+
+def _os_error(code: int, path: str) -> str:
+    return f"[Errno {code}] {os.strerror(code)}: {path!r}"
+
+
+@pytest.mark.parametrize(
+    "case", ["empty", "directory", "missing-double-slash", "nul-byte", "trailing-slash"]
+)
+def test_odd_input_path_is_read_as_given(capsys, phi_file, tmp_path, case):
+    # a path is opened and echoed as given: "" is not read as ".", nor
+    # "a//b.json" as "a/b.json", nor "phi.json/" as "phi.json"
+    nul = f"{tmp_path}/a\0b.json"
+    path, error, detail = {
+        "empty": ("", "FileNotFoundError", _os_error(errno.ENOENT, "")),
+        "directory": (
+            str(tmp_path), "IsADirectoryError", _os_error(errno.EISDIR, str(tmp_path))
+        ),
+        "missing-double-slash": (
+            f"{tmp_path}/a//b.json",
+            "FileNotFoundError",
+            _os_error(errno.ENOENT, f"{tmp_path}/a//b.json"),
+        ),
+        "nul-byte": (
+            nul, "InvalidDocument", f"bad path {nul!r}: embedded null byte"
+        ),
+        "trailing-slash": (
+            phi_file + "/", "NotADirectoryError", _os_error(errno.ENOTDIR, phi_file + "/")
+        ),
+    }[case]
+    want = {"error": error, "detail": detail, "file": path}
+    code, report = run_cli(capsys, ["validate", path])
+    assert (code, report["inputs"], report["results"]["files"]) == (2, {}, [want])
+    code, report = run_cli(capsys, ["classify", path])
+    assert (code, report["inputs"], report["results"]) == (2, {}, want)
+
+
+@pytest.mark.parametrize("ref", ["./space.json", "sub/../space.json"])
+def test_space_reference_resolves_against_the_map(capsys, phi, tmp_path, ref):
+    # a reference is joined to the map's directory with pathlib, which
+    # drops a "." and keeps a "..", and is echoed and read by that name
+    (tmp_path / "sub").mkdir()
+    space = tmp_path / "space.json"
+    space.write_text(dumps_canonical(space_to_obj(phi.target)))
+    obj = map_to_obj(phi)
+    obj["target"] = ref
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(obj))
+    code, report = run_cli(capsys, ["classify", str(path)])
+    assert code == 0
+    assert report["results"]["classification"]["compression"] == "5/6"
+    key = str(space) if ref.startswith("./") else f"{tmp_path}/{ref}"
+    digest = hashlib.sha256(space.read_bytes()).hexdigest()
+    assert list(report["inputs"]) == [str(path), key]
+    assert report["inputs"][key] == digest
+
+
+def test_inline_documents_build_no_path(capsys, monkeypatch, phi_file, s1, tmp_path):
+    # a path is a str from argv to the open: only a space reference,
+    # joined to its map's directory, builds a pathlib.Path
+    def no_path(*args):
+        raise AssertionError(f"Path{args} built")
+
+    space = tmp_path / "s1.json"
+    space.write_text(dumps_canonical(space_to_obj(s1)))
+    monkeypatch.setattr(malg.cli, "Path", no_path)
+    out = str(tmp_path / "out.json")
+    for argv in (["classify", phi_file], ["validate", phi_file, str(space)]):
+        assert main([*argv, "--output", out]) == 0
+        assert json.loads((tmp_path / "out.json").read_text())["exit_code"] == 0
 
 
 def test_classify_phi(capsys, phi_file):
@@ -459,6 +533,11 @@ def test_unwritable_output_exits_2(capsys, phi_file, tmp_path, case):
     assert captured.out == ""
     assert captured.err.startswith("malg: error: cannot write --output ")
     assert captured.err.count("\n") == 1
+    if case == "missing-directory":  # the path is named as given, twice
+        assert captured.err == (
+            f"malg: error: cannot write --output {output!r}: "
+            f"{_os_error(errno.ENOENT, output)}\n"
+        )
 
 
 def test_theorem_check_requires_input(capsys):

@@ -4,6 +4,7 @@ import inspect
 import random
 import time
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -60,14 +61,19 @@ from helpers import (
     python_child_output,
 )
 from mutants import (
+    MUTANTS,
     NULL,
     SHORTCUT,
     _drop_lowest_image_atom,
     _faulty_homs,
+    _faulty_tables,
+    _law_algebras,
     _null_law_maps,
+    _planted,
     _report_items,
     _small_homs,
     assert_verdict,
+    kill,
     mutant_names,
 )
 
@@ -296,13 +302,13 @@ def test_boolean_hom_rejects_bad_masks(phi):
             BooleanHom(dom, cod, {**masks, 0: bad})
     # masks bad in two ways: the first bad mask in the dict's order is
     # named, by the exception a check of each mask in turn raises
-    with pytest.raises(ValueError, match="mask -0b1 has null"):
+    with pytest.raises(ValueError, match="out-of-range atoms: it is negative$"):
         BooleanHom(dom, cod, {0: -1, 1: 3.0})
     with pytest.raises(TypeError, match="must be an int, not 3.0"):
         BooleanHom(dom, cod, {0: 3.0, 1: -1})
     with pytest.raises(TypeError, match="must be an int, not True"):
         BooleanHom(dom, cod, {1: True, 0: 0b111})
-    with pytest.raises(ValueError, match="mask 0b111 has null"):
+    with pytest.raises(ValueError, match="out-of-range atoms: it has atom 2$"):
         BooleanHom(dom, cod, {0: 0b111, 1: True})
     # the keys are exactly the domain's non-null atoms
     for keys in ((0,), (0, 1, 2), (1, 2), (0, 10**100)):
@@ -805,6 +811,32 @@ def test_check_hom_laws_matches_pair_scan_on_faulty_tables():
 @pytest.mark.parametrize("name", mutant_names(SHORTCUT))
 def test_shortcut_mutant_leaves_pair_scan(name):
     assert_verdict(name)
+
+
+def _hom_law_inputs():
+    """The hom-laws observer's inputs, in order: the small homs and one
+    seeded round of faulty tables over every pair of law algebras."""
+    homs = [(h.domain, h.codomain, list(h.atom_masks.items())) for h in _small_homs()]
+    rng = random.Random(12)
+    algebras = [alg for alg in _law_algebras() if alg.nonnull_atoms]
+    tables = [
+        (kind, list(table.items()))
+        for domain, codomain in product(algebras, repeat=2)
+        for kind, table in _faulty_tables(rng, domain, codomain)
+    ]
+    return homs, tables
+
+
+def test_order_fault_in_maps_alone_is_seen_by_check_hom_laws():
+    # planted everywhere, the order fault changes the observer's inputs
+    # too; planted in malg.maps alone it leaves them as they are, so the
+    # row is killed by what check_hom_laws reports on the same homs
+    clean_inputs = _hom_law_inputs()
+    with _planted(MUTANTS["canonical-yields-complements"]):
+        assert _hom_law_inputs() != clean_inputs
+    with _planted(MUTANTS["canonical-yields-complements-in-maps"]):
+        assert _hom_law_inputs() == clean_inputs
+    assert kill("canonical-yields-complements-in-maps")[0] == "hom-laws"
 
 
 def test_check_hom_laws_linear_in_elements():

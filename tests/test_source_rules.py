@@ -1,7 +1,7 @@
 """Source rules the README promises: stdlib-only imports and no floats;
 plus one export list that matches what the package imports, no import
 left unused, no export without a caller, and sources that parse at the
-declared Python floor."""
+declared Python floor and use no private name of the stdlib."""
 
 import ast
 import dataclasses
@@ -49,6 +49,29 @@ def test_no_float_literal_or_name():
             assert not (
                 isinstance(node, ast.Name) and node.id == "float"
             ), f"{name}:{node.lineno} uses the name float"
+
+
+# Private names of the stdlib modules malg uses: they may change or go in
+# any release (Fraction's `_normalize=` keyword is gone in 3.12), and malg
+# runs on every Python from its declared floor on
+PRIVATE_STDLIB_NAMES = {
+    "fractions": ("_numerator", "_denominator", "_normalize", "_from_coprime_ints"),
+    "argparse": ("_actions", "_subparsers", "_name_parser_map"),
+}
+
+
+def test_no_private_stdlib_names():
+    # a use is an attribute, a keyword, an imported name or a string handed
+    # to getattr; a name of malg's own is flagged too, so none reuses one
+    private = {name: module for module, names in PRIVATE_STDLIB_NAMES.items()
+               for name in names}
+    for name, tree in _trees():
+        for node in ast.walk(tree):
+            for field in ("attr", "arg", "name", "id", "value"):
+                used = getattr(node, field, None)
+                assert not (isinstance(used, str) and used in private), (
+                    f"{name}:{node.lineno} uses {used}, private to {private[used]}"
+                )
 
 
 def _is_main_guard(node) -> bool:
